@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke serve-smoke cluster-smoke verify-smoke check examples experiments lint-docs all clean
+.PHONY: install test bench bench-smoke bench-repo-smoke serve-smoke cluster-smoke verify-smoke check examples experiments lint-docs all clean
 
 # Where the cluster smoke dumps the router's flight recorder on failure
 # (CI uploads benchmarks/out/*.ndjson as a post-mortem artifact).
@@ -38,6 +38,11 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_online_refit.py
 	$(PYTHON) benchmarks/perf_guard.py --out benchmarks/out/metrics.json
 
+# The repo benchmark's own tests (bench/test_bench.py), including the
+# `bench/run.py --smoke` self-test of all four workloads.
+bench-repo-smoke:
+	$(PYTHON) -m pytest bench -q
+
 # End-to-end serving smoke: boots the TCP+HTTP server in-process,
 # registers a fleet over the wire, bit-checks served plans against a
 # direct Planner, runs a small concurrent load, and scrapes /health and
@@ -65,7 +70,7 @@ verify-smoke:
 	$(PYTHON) -m repro verify --cases 200 --fuzz-frames 500 --chaos-runs 4 \
 		--cluster-runs 1
 
-check: test bench-smoke serve-smoke cluster-smoke verify-smoke
+check: test bench-smoke bench-repo-smoke serve-smoke cluster-smoke verify-smoke
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done

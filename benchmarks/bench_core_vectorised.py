@@ -4,8 +4,8 @@
 Times a cold ``partition_bisection`` at ``p = 1080`` over three fleets —
 piecewise-linear (the original fast path), step-model and EWMA-rescaled
 (both newly compiled through the knot protocol) — against the per-object
-oracle obtained by suppressing knot compilation with
-:func:`repro.core.vectorized.packing_disabled`.  The measured quantity
+oracle: the same solve on an explicit
+:class:`repro.core.vectorized.ObjectSet` evaluator.  The measured quantity
 is the dimensionless ratio ``per-object / compiled`` on the same
 machine, so it needs no external calibration; ``perf_guard.py`` imports
 :func:`measure_speedups` and gates the step and rescaled ratios at
@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.bisection import partition_bisection  # noqa: E402
 from repro.core.step_model import StepSpeedFunction  # noqa: E402
-from repro.core.vectorized import packing_disabled  # noqa: E402
+from repro.core.vectorized import ObjectSet  # noqa: E402
 from repro.experiments import build_network_models, tile_speed_functions  # noqa: E402
 from repro.machines import table2_network  # noqa: E402
 
@@ -88,19 +88,15 @@ def measure_speedups(repeats: int = 2) -> dict[str, dict[str, float]]:
     results: dict[str, dict[str, float]] = {}
     for name, sfs in build_fleets().items():
         compiled_result = partition_bisection(N, sfs)
-        with packing_disabled():
-            pure_result = partition_bisection(N, sfs)
+        pure_result = partition_bisection(N, sfs, pack=ObjectSet(sfs))
         if not np.array_equal(compiled_result.allocation, pure_result.allocation):
             raise AssertionError(
                 f"{name}: compiled and per-object allocations diverged"
             )
         compiled_s = _best_of(lambda: partition_bisection(N, sfs), repeats)
-
-        def _pure():
-            with packing_disabled():
-                partition_bisection(N, sfs)
-
-        pure_s = _best_of(_pure, repeats)
+        pure_s = _best_of(
+            lambda: partition_bisection(N, sfs, pack=ObjectSet(sfs)), repeats
+        )
         results[name] = {
             "compiled_seconds": compiled_s,
             "per_object_seconds": pure_s,

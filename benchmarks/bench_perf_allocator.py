@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.vectorized import PiecewiseLinearSet, make_allocator
+from repro.core.vectorized import PiecewiseLinearSet
 from repro.experiments import tile_speed_functions
 
 

@@ -7,7 +7,9 @@ booted with a ``node_id``; this module owns the two ways to run one:
   production-shaped topology.  It is independently killable with
   ``SIGKILL``, which is exactly what the chaos verification needs: a
   node that vanishes mid-request without flushing so much as a socket
-  buffer.
+  buffer.  The node leads a process group of its own, so the kill also
+  takes down the processes it started (process-mode shard workers and
+  the warm tier's ``multiprocessing.Manager``).
 * :class:`ThreadNode` — the same server on a daemon thread in this
   process, for tests that want cluster semantics without fork overhead.
 
@@ -52,11 +54,29 @@ def _node_config(node_id: str, **overrides: Any) -> ServeConfig:
 
 
 def _child_main(conn, config: ServeConfig) -> None:  # pragma: no cover - child
-    """Child-process body: boot the server, report ports, await stop."""
+    """Child-process body: boot the server, report ports, await stop.
+
+    Any start-up failure is reported to the parent as ``{"error": ...}``
+    instead of a silently closed pipe.
+    """
     # The child must not inherit the parent's signal-driven test harness
     # behaviour; default handlers make SIGTERM a clean exit path.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    handle = start_in_thread(config)
+    # Lead a process group: everything the node starts joins it, which is
+    # what lets ProcessNode.kill() SIGKILL the node with its descendants.
+    if hasattr(os, "setpgrp"):
+        os.setpgrp()
+    try:
+        # The node is started as a daemon (reaped if its parent exits), but
+        # a process-mode shard pool forks workers and a Manager, which a
+        # daemonic process may not do; the node reaps those itself on a
+        # graceful stop, and kill() signals its whole process group.
+        multiprocessing.current_process().daemon = False
+        handle = start_in_thread(config)
+    except Exception as exc:
+        conn.send({"error": f"{type(exc).__name__}: {exc}"})
+        conn.close()
+        raise SystemExit(1) from None
     conn.send({"port": handle.port, "http_port": handle.http_port})
     try:
         conn.recv()  # blocks until the parent asks for a graceful stop
@@ -91,9 +111,12 @@ class ProcessNode:
         return self._process.is_alive()
 
     def kill(self) -> None:
-        """SIGKILL the node — no drain, no goodbye (chaos path)."""
-        if self._process.is_alive():
-            os.kill(self._process.pid, signal.SIGKILL)
+        """SIGKILL the node — no drain, no goodbye (chaos path).
+
+        The signal goes to the node's process group, so its shard workers
+        and Manager die with it instead of outliving it as orphans.
+        """
+        _kill_group(self._process)
         self._process.join(timeout=10.0)
 
     def stop(self, *, timeout: float = 30.0) -> None:
@@ -105,8 +128,7 @@ class ProcessNode:
                 pass
             self._process.join(timeout=timeout)
         if self._process.is_alive():  # pragma: no cover - drain hang
-            self._process.terminate()
-            self._process.join(timeout=5.0)
+            self.kill()
         self._conn.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -172,9 +194,18 @@ def start_process_node(
     child_conn.close()
     deadline = time.monotonic() + timeout
     if not parent_conn.poll(max(0.0, deadline - time.monotonic())):
-        process.kill()
+        _kill_group(process)
         raise RuntimeError(f"cluster node {name!r} did not start in time")
-    ports = parent_conn.recv()
+    try:
+        ports = parent_conn.recv()
+    except EOFError:
+        ports = {"error": "child exited without reporting its listeners"}
+    if "error" in ports:
+        process.join(timeout=10.0)
+        parent_conn.close()
+        raise RuntimeError(
+            f"cluster node {name!r} failed to start: {ports['error']}"
+        )
     info = NodeInfo(host=config.host, port=ports["port"], http_port=ports["http_port"])
     return ProcessNode(
         info.node_id, process, parent_conn, info.host, info.port, info.http_port
@@ -209,6 +240,21 @@ def start_nodes(
                 pass
         raise
     return nodes
+
+
+def _kill_group(process) -> None:
+    """SIGKILL a node child together with its process group.
+
+    The group outlives its leader while members remain, so this also
+    reaches the workers of a node that has already exited.
+    """
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except (AttributeError, ProcessLookupError):
+        # No such group: everything is gone already, the child has not
+        # reached os.setpgrp() yet, or the platform has no process groups.
+        if process.is_alive():
+            process.kill()
 
 
 def _mp_context():

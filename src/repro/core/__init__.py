@@ -14,13 +14,7 @@ from .constant_model import (
     single_number_speeds,
 )
 from .exact import partition_exact
-from .geometry import (
-    SlopeRegion,
-    allocations,
-    ensure_bracket,
-    initial_bracket,
-    total_allocation,
-)
+from .geometry import SlopeRegion, ensure_bracket, initial_bracket
 from .hierarchical import HierarchicalResult, group_speed_function, partition_hierarchical
 from .modified import partition_modified
 from .multidim import SpeedSurface, partition_2d_fixed
@@ -38,7 +32,7 @@ from .speed_function import (
     SpeedFunction,
     validate_speed_functions,
 )
-from .vectorized import PiecewiseLinearSet, make_allocator, pack_speed_functions
+from .vectorized import ObjectSet, PiecewiseLinearSet, pack_speed_functions
 from .weighted import WeightedPartitionResult, partition_weighted
 
 __all__ = [
@@ -49,6 +43,7 @@ __all__ = [
     "HierarchicalResult",
     "ConstantSpeedFunction",
     "KnotRow",
+    "ObjectSet",
     "PartitionOptions",
     "PartitionResult",
     "PiecewiseLinearSet",
@@ -61,11 +56,9 @@ __all__ = [
     "SpeedSurface",
     "StepSpeedFunction",
     "WeightedPartitionResult",
-    "allocations",
     "ensure_bracket",
     "group_speed_function",
     "initial_bracket",
-    "make_allocator",
     "makespan",
     "pack_speed_functions",
     "partition",
@@ -77,7 +70,6 @@ __all__ = [
     "partition_constant",
     "partition_constant_naive",
     "partition_even",
-    "partition_even",
     "partition_exact",
     "partition_hierarchical",
     "partition_modified",
@@ -86,6 +78,5 @@ __all__ = [
     "refine_greedy",
     "refine_paper",
     "single_number_speeds",
-    "total_allocation",
     "validate_speed_functions",
 ]

@@ -23,9 +23,9 @@ import numpy as np
 
 from .. import obs
 from ..exceptions import ConfigurationError, ConvergenceError
-from .geometry import SlopeRegion, allocations, ensure_bracket, initial_bracket
+from .geometry import SlopeRegion, ensure_bracket, initial_bracket
 from .options import reject_unknown_options
-from .vectorized import PiecewiseLinearSet, pack_speed_functions
+from .vectorized import ObjectSet, PiecewiseLinearSet, pack_speed_functions
 from .refine import makespan, refine_greedy, refine_paper
 from .result import PartitionResult
 from .speed_function import SpeedFunction
@@ -49,7 +49,7 @@ def partition_bisection(
     max_iterations: int = _DEFAULT_MAX_ITERATIONS,
     keep_trace: bool = False,
     region: SlopeRegion | None = None,
-    pack: PiecewiseLinearSet | None = None,
+    pack: PiecewiseLinearSet | ObjectSet | None = None,
     **extra,
 ) -> PartitionResult:
     """Partition ``n`` elements with the basic bisection algorithm.
@@ -70,7 +70,7 @@ def partition_bisection(
     max_iterations:
         Safety cap on bisection steps.
     keep_trace:
-        Record ``(slope, total_allocation)`` per step in the result.
+        Record ``(slope, total allocation)`` per step in the result.
     region:
         Optional starting region.  It does not have to bracket the optimal
         line for this ``n``: a stale region (e.g. the converged
@@ -79,11 +79,12 @@ def partition_bisection(
         warm-started queries skip most of the cold search.  Computed by
         :func:`~repro.core.geometry.initial_bracket` when omitted.
     pack:
-        Optional pre-built :class:`~repro.core.vectorized.PiecewiseLinearSet`
-        for the same ``speed_functions`` (see
+        Optional pre-built evaluator for the same ``speed_functions`` (see
         :func:`~repro.core.vectorized.pack_speed_functions`).  Callers
-        answering many queries over one fleet should pack once and pass it
-        here; when omitted, a pack is built per call if possible.
+        answering many queries over one fleet should build it once and
+        pass it here; when omitted, one is built per call.  Passing
+        :class:`~repro.core.vectorized.ObjectSet` forces the per-object
+        reference evaluation.
 
     Returns
     -------
@@ -100,21 +101,14 @@ def partition_bisection(
         )
     if pack is None:
         pack = pack_speed_functions(speed_functions)
-    alloc_at = (
-        pack.allocations
-        if pack is not None
-        else (lambda c: allocations(speed_functions, c))
-    )
     warm = region is not None
     if region is None:
-        region = initial_bracket(speed_functions, n, allocator=alloc_at, pack=pack)
+        region = initial_bracket(speed_functions, n, pack=pack)
         probes = 1  # the figure-18 bracket probe
     else:
-        region, probes = ensure_bracket(
-            region, n, speed_functions, allocator=alloc_at, pack=pack
-        )
-    low_alloc = alloc_at(region.upper)
-    high_alloc = alloc_at(region.lower)
+        region, probes = ensure_bracket(region, n, speed_functions, pack=pack)
+    low_alloc = pack.allocations(region.upper)
+    high_alloc = pack.allocations(region.lower)
     intersections = (probes + 2) * p  # bracket probes + the two initial lines
     iterations = 0
     trace: list[tuple[float, float]] = []
@@ -132,7 +126,7 @@ def partition_bisection(
             # graph segment); fine-tuning resolves the remainder.
             break
         mid = region.midpoint(mode)
-        mid_alloc = alloc_at(mid)
+        mid_alloc = pack.allocations(mid)
         intersections += p
         total = float(mid_alloc.sum())
         if keep_trace:
@@ -179,13 +173,13 @@ def partition_bisection_many(
     refine: str = "greedy",
     max_iterations: int = _DEFAULT_MAX_ITERATIONS,
     region: SlopeRegion | None = None,
-    pack: PiecewiseLinearSet | None = None,
+    pack: PiecewiseLinearSet | ObjectSet | None = None,
 ) -> list[PartitionResult]:
     """Solve a whole batch of problem sizes in one lockstep sweep.
 
     Equivalent to ``[partition_bisection(n, ...) for n in ns]`` — each
     returned plan is bit-identical to its one-shot counterpart — but far
-    cheaper for packed fleets, by two structural tricks:
+    cheaper, by two structural tricks:
 
     * **monotone bracketing**: sizes are processed in ascending order, so
       the optimal slope only moves downward; each size's starting bracket
@@ -193,30 +187,18 @@ def partition_bisection_many(
       of an independent figure-18 doubling search;
     * **lockstep bisection**: all still-unconverged sizes advance
       together, and their midpoint rays are intersected with the ``p``
-      graphs in a single :meth:`PiecewiseLinearSet.allocations_many` call
-      per step, paying the NumPy dispatch cost once per step instead of
-      once per size per step.
+      graphs in a single ``allocations_many`` call per step; on a compiled
+      pack that pays the NumPy dispatch cost once per step instead of once
+      per size per step.
 
     Results are returned in the order the sizes were given.  ``region``
     optionally seeds the smallest size's bracket (a converged region from
-    a previous query); ``pack`` as in :func:`partition_bisection`.  Falls
-    back to sequential solves when the fleet cannot be packed.
+    a previous query); ``pack`` as in :func:`partition_bisection`.
     """
     sizes = [int(n) for n in ns]
     if pack is None:
         pack = pack_speed_functions(speed_functions)
-    if pack is None:  # generic fleet: no batched evaluator to exploit
-        seq: dict[int, PartitionResult] = {}
-        for n in sorted(set(sizes)):
-            seq[n] = partition_bisection(
-                n, speed_functions, mode=mode, refine=refine,
-                max_iterations=max_iterations, region=region,
-            )
-            region = seq[n].region or region
-        return [seq[n] for n in sizes]
-
     p = len(speed_functions)
-    alloc_at = pack.allocations
     order = sorted(range(len(sizes)), key=lambda i: sizes[i])
     solved: dict[int, PartitionResult] = {}
 
@@ -239,15 +221,13 @@ def partition_bisection_many(
             continue
         warm_flags.append(prev is not None)
         if prev is None:
-            r = initial_bracket(speed_functions, n, allocator=alloc_at, pack=pack)
+            r = initial_bracket(speed_functions, n, pack=pack)
             probes = 1
         else:
             # The previous (smaller) size's bracket: its steep bound stays
             # valid because totals only grow as the slope falls; only the
             # shallow bound may need geometric expansion.
-            r, probes = ensure_bracket(
-                prev, n, speed_functions, allocator=alloc_at, pack=pack
-            )
+            r, probes = ensure_bracket(prev, n, speed_functions, pack=pack)
         pending.append(n)
         regions.append(r)
         probe_counts.append(probes)

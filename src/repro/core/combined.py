@@ -32,8 +32,8 @@ import numpy as np
 from .. import obs
 from ..exceptions import ConfigurationError, ConvergenceError
 from .options import reject_unknown_options
-from .geometry import SlopeRegion, allocations, ensure_bracket, initial_bracket
-from .vectorized import PiecewiseLinearSet, pack_speed_functions
+from .geometry import SlopeRegion, ensure_bracket, initial_bracket
+from .vectorized import ObjectSet, PiecewiseLinearSet, pack_speed_functions
 from .modified import partition_modified
 from .refine import makespan, refine_greedy, refine_paper
 from .result import PartitionResult
@@ -74,7 +74,7 @@ def partition_combined(
     stall_limit: int = 8,
     stall_factor: float = 0.75,
     region: SlopeRegion | None = None,
-    pack: PiecewiseLinearSet | None = None,
+    pack: PiecewiseLinearSet | ObjectSet | None = None,
     **extra,
 ) -> PartitionResult:
     """Partition ``n`` elements, switching basic -> modified when useful.
@@ -94,21 +94,14 @@ def partition_combined(
         )
     if pack is None:
         pack = pack_speed_functions(speed_functions)
-    alloc_at = (
-        pack.allocations
-        if pack is not None
-        else (lambda c: allocations(speed_functions, c))
-    )
     warm = region is not None
     if region is None:
-        region = initial_bracket(speed_functions, n, allocator=alloc_at, pack=pack)
+        region = initial_bracket(speed_functions, n, pack=pack)
         probes = 1
     else:
-        region, probes = ensure_bracket(
-            region, n, speed_functions, allocator=alloc_at, pack=pack
-        )
-    low_alloc = alloc_at(region.upper)
-    high_alloc = alloc_at(region.lower)
+        region, probes = ensure_bracket(region, n, speed_functions, pack=pack)
+    low_alloc = pack.allocations(region.upper)
+    high_alloc = pack.allocations(region.lower)
     intersections = (probes + 2) * p
     iterations = 0
     stalled = 0
@@ -123,7 +116,7 @@ def partition_combined(
             )
         uncertainty_before = float(np.sum(high_alloc - low_alloc))
         mid = region.midpoint(mode)
-        mid_alloc = alloc_at(mid)
+        mid_alloc = pack.allocations(mid)
         intersections += p
         total = float(mid_alloc.sum())
         if keep_trace:

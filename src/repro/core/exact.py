@@ -26,8 +26,8 @@ import numpy as np
 
 from ..exceptions import ConvergenceError, InfeasiblePartitionError
 from .options import reject_unknown_options
-from .geometry import allocations, initial_bracket
-from .vectorized import PiecewiseLinearSet, pack_speed_functions
+from .geometry import initial_bracket
+from .vectorized import ObjectSet, PiecewiseLinearSet, pack_speed_functions
 from .refine import makespan
 from .result import PartitionResult
 from .speed_function import SpeedFunction
@@ -36,18 +36,15 @@ __all__ = ["partition_exact"]
 
 _SLOPE_ITERATIONS = 120
 
-#: Slopes evaluated per batched probe of the shallow-slope feasibility ladder.
-_LADDER_CHUNK = 8
 
-
-def _floor_allocations(alloc_at, slope: float, cap: float) -> np.ndarray:
+def _floor_allocations(allocations: np.ndarray, cap: float) -> np.ndarray:
     # Clamp before flooring: a processor with an unbounded (or huge)
     # memory limit can report a real allocation far beyond 2**63 at a
     # shallow slope, and floor().astype(int64) would overflow to
     # INT64_MIN — turning the integer feasibility predicate negative and
     # mislabelling feasible instances infeasible.  No processor ever
     # needs more than the n being partitioned, so n is an exact cap.
-    return np.floor(np.minimum(alloc_at(slope), cap)).astype(np.int64)
+    return np.floor(np.minimum(allocations, cap)).astype(np.int64)
 
 
 def partition_exact(
@@ -55,16 +52,16 @@ def partition_exact(
     speed_functions: Sequence[SpeedFunction],
     *,
     slope_iterations: int = _SLOPE_ITERATIONS,
-    pack: PiecewiseLinearSet | None = None,
+    pack: PiecewiseLinearSet | ObjectSet | None = None,
     **extra,
 ) -> PartitionResult:
     """Makespan-optimal integer partition of ``n`` elements.
 
-    ``pack`` optionally supplies the shared
-    :class:`~repro.core.vectorized.PiecewiseLinearSet` of the same
-    functions (built per call when omitted and possible); it batches the
-    shallow-slope feasibility ladder and the surplus-shedding heap probes
-    with bit-identical results.
+    ``pack`` optionally supplies the fleet evaluator of the same functions
+    (built per call when omitted, see
+    :func:`~repro.core.vectorized.pack_speed_functions`); the shallow-slope
+    feasibility ladder is evaluated ``pack.speculative_rows`` slopes at a
+    time.
 
     Raises :class:`~repro.exceptions.InfeasiblePartitionError` when ``n``
     exceeds the combined memory bounds.
@@ -79,62 +76,42 @@ def partition_exact(
         )
     if pack is None:
         pack = pack_speed_functions(speed_functions)
-    alloc_at = (
-        pack.allocations
-        if pack is not None
-        else (lambda c: allocations(speed_functions, c))
-    )
-    region = initial_bracket(
-        speed_functions, n, allocator=alloc_at, pack=pack
-    )  # also validates feasibility
+    # also validates feasibility
+    region = initial_bracket(speed_functions, n, pack=pack)
     intersections = 3 * p
     # Bracket in slope space for the *integer* feasibility predicate.
     c_hi = region.upper  # steep: sum of floors <= n (usually infeasible)
     c_lo = region.lower  # shallow: sum of reals >= n, floors may fall short
     cap = float(n)
     alloc_lo = None
-    if pack is not None:
-        # Batched halving ladder: the slopes c_lo * 0.5**k are bitwise the
-        # sequence the sequential loop visits (exact halvings), and the
-        # reported intersection count is the sequential one.
-        k = 0
-        while k < 200 and alloc_lo is None:
-            width = min(_LADDER_CHUNK, 200 - k)
-            slopes = c_lo * 0.5 ** np.arange(width)
-            floors = np.floor(
-                np.minimum(pack.allocations_many(slopes), cap)
-            ).astype(np.int64)
-            hits = np.nonzero(floors.sum(axis=1) >= n)[0]
-            if hits.size:
-                j = int(hits[0])
-                alloc_lo = floors[j]
-                c_lo = float(slopes[j])
-                intersections += (k + j + 1) * p
-            else:
-                k += width
-                c_lo = float(slopes[-1] * 0.5)
-        if alloc_lo is None:
-            raise InfeasiblePartitionError(
-                f"cannot reach an integer total of {n}; memory bounds "
-                "saturate below it"
-            )
-    else:
-        for _ in range(200):
-            alloc_lo = _floor_allocations(alloc_at, c_lo, cap)
-            intersections += p
-            if int(alloc_lo.sum()) >= n:
-                break
-            c_lo *= 0.5
+    # Halving ladder, ``pack.speculative_rows`` slopes per probe: the slopes
+    # c_lo * 0.5**k are exact halvings, and the reported intersection
+    # count is that of a sequential walk.
+    k = 0
+    while k < 200 and alloc_lo is None:
+        width = min(pack.speculative_rows, 200 - k)
+        slopes = c_lo * 0.5 ** np.arange(width)
+        floors = _floor_allocations(pack.allocations_many(slopes), cap)
+        hits = np.nonzero(floors.sum(axis=1) >= n)[0]
+        if hits.size:
+            j = int(hits[0])
+            alloc_lo = floors[j]
+            c_lo = float(slopes[j])
+            intersections += (k + j + 1) * p
         else:
-            raise InfeasiblePartitionError(
-                f"cannot reach an integer total of {n}; memory bounds saturate below it"
-            )
+            k += width
+            c_lo = float(slopes[-1] * 0.5)
+    if alloc_lo is None:
+        raise InfeasiblePartitionError(
+            f"cannot reach an integer total of {n}; memory bounds "
+            "saturate below it"
+        )
     iterations = 0
     for _ in range(slope_iterations):
         mid = 0.5 * (c_hi + c_lo)
         if not (c_lo < mid < c_hi):
             break
-        alloc_mid = _floor_allocations(alloc_at, mid, cap)
+        alloc_mid = _floor_allocations(pack.allocations(mid), cap)
         intersections += p
         iterations += 1
         if int(alloc_mid.sum()) >= n:
@@ -148,30 +125,16 @@ def partition_exact(
         raise ConvergenceError("makespan search lost feasibility", iterations)
     if surplus:
         # Shed the surplus from the processors finishing last; each removal
-        # weakly decreases the makespan.  The pack evaluates all initial
-        # finish times in one pass and re-probes one row per pop.
-        if pack is not None:
-            t_all = pack.times(alloc.astype(float))
-            heap = [
-                (-float(t_all[i]), int(i)) for i in np.nonzero(alloc > 0)[0]
-            ]
-        else:
-            heap = [
-                (-float(sf.time(int(alloc[i]))), i)
-                for i, sf in enumerate(speed_functions)
-                if alloc[i] > 0
-            ]
+        # weakly decreases the makespan.  All initial finish times come
+        # from one evaluator pass; each pop re-probes one row.
+        t_all = pack.times(alloc.astype(float))
+        heap = [(-float(t_all[i]), int(i)) for i in np.nonzero(alloc > 0)[0]]
         heapq.heapify(heap)
         for _ in range(surplus):
             _, i = heapq.heappop(heap)
             alloc[i] -= 1
             if alloc[i] > 0:
-                t = (
-                    pack.time_one(i, int(alloc[i]))
-                    if pack is not None
-                    else float(speed_functions[i].time(int(alloc[i])))
-                )
-                heapq.heappush(heap, (-t, i))
+                heapq.heappush(heap, (-pack.time_one(i, int(alloc[i])), i))
     return PartitionResult(
         allocation=alloc,
         makespan=makespan(speed_functions, alloc, pack=pack),

@@ -3,12 +3,13 @@
 The algorithms of section 2 search for a straight line ``y = c * x`` through
 the origin of the (problem size, absolute speed) plane such that the sum of
 the size coordinates of its intersections with the ``p`` speed graphs equals
-the problem size ``n``.  This module provides:
+the problem size ``n``.  Intersecting a ray with all graphs at once is the
+job of the fleet evaluator (:mod:`repro.core.vectorized`); this module
+provides:
 
-* :func:`allocations` / :func:`total_allocation` — intersect a ray with all
-  graphs at once;
 * :func:`initial_bracket` — the paper's procedure (figure 18) for finding the
   two starting lines between which the optimal line lies;
+* :func:`ensure_bracket` — the warm-start repair of a stale bracket;
 * :class:`SlopeRegion` — the pair of bounding slopes manipulated by the
   bisection algorithms, with both *tangent* and *angle* bisection rules (the
   paper bisects angles but notes that tangents work in practice).
@@ -24,55 +25,28 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, InfeasiblePartitionError
 from .speed_function import SpeedFunction
+from .vectorized import ObjectSet, PiecewiseLinearSet
 
 __all__ = [
-    "allocations",
-    "total_allocation",
     "initial_bracket",
     "ensure_bracket",
     "SlopeRegion",
 ]
 
 
-def allocations(
-    speed_functions: Sequence[SpeedFunction], slope: float
-) -> np.ndarray:
-    """Size coordinates of the intersections of ``y = slope*x`` with each graph.
-
-    Element ``i`` of the result is the (generally non-integer) number of
-    elements processor ``i`` would receive if the line with the given slope
-    were the optimal one.  Intersections beyond a processor's memory bound
-    are clamped to the bound by :meth:`SpeedFunction.intersect_ray`.
-    """
-    return np.array([sf.intersect_ray(slope) for sf in speed_functions], dtype=float)
-
-
-def total_allocation(
-    speed_functions: Sequence[SpeedFunction], slope: float
-) -> float:
-    """Sum of the intersection size coordinates for the given ray slope.
-
-    Monotonically non-increasing in ``slope``: steeper lines cross every
-    graph at smaller sizes.
-    """
-    return float(sum(sf.intersect_ray(slope) for sf in speed_functions))
-
-
-#: Geometric-ladder slopes evaluated per batched probe (see _expand_batched).
-_EXPAND_CHUNK = 8
-
-
 def _expand_batched(pack, v0: float, factor: float, n: int, mode: str,
                     max_expansions: int):
-    """Walk the geometric slope ladder ``v0 * factor**k`` on the pack.
+    """Walk the geometric slope ladder ``v0 * factor**k`` on the evaluator.
 
-    Returns ``(value, expansions)`` for the first ``k`` (checking at most
-    ``max_expansions`` ladder points) whose total allocation satisfies the
-    bracket condition — ``total <= n`` for ``mode='upper'``, ``total >= n``
-    for ``'lower'`` — or ``None`` when the ladder is exhausted.
+    Each probe after the first evaluates ``pack.speculative_rows`` slopes
+    at once.  Returns ``(value, expansions)`` for the first ``k`` (checking
+    at most ``max_expansions`` ladder points) whose total allocation
+    satisfies the bracket condition — ``total <= n`` for ``mode='upper'``,
+    ``total >= n`` for ``'lower'`` — or ``None`` when the ladder is
+    exhausted.
 
     ``factor`` is a power of two, so the batch slopes are bitwise the
-    sequence the sequential ``v *= factor`` loop visits, and the reported
+    sequence a sequential ``v *= factor`` loop visits, and the reported
     ``expansions`` is the sequential count (the first success index), not
     the number of array evaluations performed.
     """
@@ -85,7 +59,7 @@ def _expand_batched(pack, v0: float, factor: float, n: int, mode: str,
     k = 1
     v = float(v0 * factor)
     while k < max_expansions:
-        width = min(_EXPAND_CHUNK, max_expansions - k)
+        width = min(pack.speculative_rows, max_expansions - k)
         slopes = v * factor ** np.arange(width)
         totals = pack.allocations_many(slopes).sum(axis=1)
         hits = np.nonzero(totals <= n if mode == "upper" else totals >= n)[0]
@@ -97,13 +71,42 @@ def _expand_batched(pack, v0: float, factor: float, n: int, mode: str,
     return None
 
 
+def _expand_region(pack, upper: float, lower: float, n: int,
+                   max_expansions: int) -> tuple["SlopeRegion", int]:
+    """Steepen ``upper`` until ``total <= n`` and flatten ``lower`` until
+    ``total >= n``; returns the region and the ladder steps taken."""
+    up = _expand_batched(pack, upper, 2.0, n, "upper", max_expansions)
+    if up is None:  # pragma: no cover - requires a pathological function
+        raise InfeasiblePartitionError(
+            "could not find a steep line allocating fewer than n elements"
+        )
+    down = _expand_batched(pack, lower, 0.5, n, "lower", max_expansions)
+    if down is None:
+        raise InfeasiblePartitionError(
+            f"problem of size {n} cannot be allocated even with "
+            "arbitrarily shallow lines; processors saturate at their "
+            "memory bounds"
+        )
+    return SlopeRegion(upper=up[0], lower=down[0]), up[1] + down[1]
+
+
+def _check_capacity(speed_functions: Sequence[SpeedFunction], n: int) -> None:
+    if n <= 0:
+        raise InfeasiblePartitionError(f"problem size must be positive, got {n}")
+    capacity = sum(sf.max_size for sf in speed_functions)
+    if capacity < n:
+        raise InfeasiblePartitionError(
+            f"problem of size {n} exceeds the combined memory bound "
+            f"{capacity:g} of the {len(speed_functions)} processors"
+        )
+
+
 def initial_bracket(
     speed_functions: Sequence[SpeedFunction],
     n: int,
     *,
     max_expansions: int = 200,
-    allocator=None,
-    pack=None,
+    pack: PiecewiseLinearSet | ObjectSet | None = None,
 ) -> "SlopeRegion":
     """Find two lines bracketing the optimal one (the paper's figure 18).
 
@@ -118,41 +121,23 @@ def initial_bracket(
     does not fit in the combined memory of all processors at any slope,
     :class:`~repro.exceptions.InfeasiblePartitionError` is raised.
 
-    ``allocator`` optionally supplies a vectorised ``slope -> allocations``
-    callable (see :func:`repro.core.vectorized.make_allocator`); the
-    default evaluates the functions one by one.  ``pack`` additionally
-    enables the batched expansion ladder and the one-pass probe-speed
-    evaluation (bit-identical to the sequential path — the ladder slopes
-    are exact powers of two times the seed).
+    ``pack`` is the fleet evaluator (see
+    :func:`repro.core.vectorized.pack_speed_functions`); it evaluates the
+    probe speeds in one pass and walks the expansion ladder in batches
+    (the ladder slopes are exact powers of two times the seed).  The
+    per-object :class:`~repro.core.vectorized.ObjectSet` is used when it
+    is omitted.
 
     Returns a :class:`SlopeRegion` with ``total(upper) <= n <= total(lower)``.
     """
-    total = (
-        (lambda c: float(pack.allocations(c).sum()))
-        if pack is not None
-        else (lambda c: float(allocator(c).sum()))
-        if allocator is not None
-        else (lambda c: total_allocation(speed_functions, c))
-    )
     p = len(speed_functions)
     if p == 0:
         raise InfeasiblePartitionError("no processors")
-    if n <= 0:
-        raise InfeasiblePartitionError(f"problem size must be positive, got {n}")
-    capacity = sum(sf.max_size for sf in speed_functions)
-    if capacity < n:
-        raise InfeasiblePartitionError(
-            f"problem of size {n} exceeds the combined memory bound "
-            f"{capacity:g} of the {p} processors"
-        )
+    _check_capacity(speed_functions, n)
+    if pack is None:
+        pack = ObjectSet(speed_functions)
     probe = n / p
-    if pack is not None:
-        speeds_at_probe = pack.speeds(np.minimum(probe, pack.max_sizes))
-    else:
-        speeds_at_probe = np.array(
-            [sf.speed(min(probe, sf.max_size)) for sf in speed_functions],
-            dtype=float,
-        )
+    speeds_at_probe = pack.speeds(np.minimum(probe, pack.max_sizes))
     if np.any(speeds_at_probe <= 0):
         # A processor whose speed is exactly zero at n/p (e.g. at its paging
         # limit) still has positive speed at smaller sizes; fall back to a
@@ -160,43 +145,7 @@ def initial_bracket(
         speeds_at_probe = np.maximum(speeds_at_probe, 1e-30)
     upper = float(speeds_at_probe.max() / probe)
     lower = float(speeds_at_probe.min() / probe)
-
-    if pack is not None:
-        up = _expand_batched(pack, upper, 2.0, n, "upper", max_expansions)
-        if up is None:  # pragma: no cover - requires a pathological function
-            raise InfeasiblePartitionError(
-                "could not find a steep line allocating fewer than n elements"
-            )
-        down = _expand_batched(pack, lower, 0.5, n, "lower", max_expansions)
-        if down is None:
-            raise InfeasiblePartitionError(
-                f"problem of size {n} cannot be allocated even with "
-                "arbitrarily shallow lines; processors saturate at their "
-                "memory bounds"
-            )
-        return SlopeRegion(upper=up[0], lower=down[0])
-
-    # Guarantee total(upper) <= n (expand upwards if a clamped or unusual
-    # shape broke the textbook property).
-    for _ in range(max_expansions):
-        if total(upper) <= n:
-            break
-        upper *= 2.0
-    else:  # pragma: no cover - requires a pathological speed function
-        raise InfeasiblePartitionError(
-            "could not find a steep line allocating fewer than n elements"
-        )
-    # Guarantee total(lower) >= n (expand downwards past memory-bound clamps).
-    for _ in range(max_expansions):
-        if total(lower) >= n:
-            break
-        lower *= 0.5
-    else:
-        raise InfeasiblePartitionError(
-            f"problem of size {n} cannot be allocated even with arbitrarily "
-            "shallow lines; processors saturate at their memory bounds"
-        )
-    return SlopeRegion(upper=upper, lower=lower)
+    return _expand_region(pack, upper, lower, n, max_expansions)[0]
 
 
 def ensure_bracket(
@@ -205,8 +154,7 @@ def ensure_bracket(
     speed_functions: Sequence[SpeedFunction],
     *,
     max_expansions: int = 200,
-    allocator=None,
-    pack=None,
+    pack: PiecewiseLinearSet | ObjectSet | None = None,
 ) -> tuple["SlopeRegion", int]:
     """Expand a stale region until it brackets the optimal line for ``n``.
 
@@ -218,70 +166,22 @@ def ensure_bracket(
     expansions — ``O(log(n/n0))`` total-allocation probes — instead of the
     full figure-18 initial-bracket search.
 
-    ``allocator`` optionally supplies a vectorised ``slope -> allocations``
-    callable (see :func:`repro.core.vectorized.make_allocator`); ``pack``
-    additionally batches the expansion ladder (bit-identical slopes —
-    exact powers of two off the cached bounds).
+    ``pack`` is the fleet evaluator, as in :func:`initial_bracket`; the
+    expansion ladder is batched (bit-identical slopes — exact powers of
+    two off the cached bounds).
 
     Returns ``(region, probes)`` where ``probes`` counts the
-    total-allocation evaluations the *sequential* procedure would perform
+    total-allocation evaluations a sequential expansion would perform
     (each costs ``p`` ray-graph intersections); a region that already
     brackets ``n`` costs 2 probes.
     """
-    total = (
-        (lambda c: float(pack.allocations(c).sum()))
-        if pack is not None
-        else (lambda c: float(allocator(c).sum()))
-        if allocator is not None
-        else (lambda c: total_allocation(speed_functions, c))
+    _check_capacity(speed_functions, n)
+    if pack is None:
+        pack = ObjectSet(speed_functions)
+    repaired, steps = _expand_region(
+        pack, region.upper, region.lower, n, max_expansions
     )
-    if n <= 0:
-        raise InfeasiblePartitionError(f"problem size must be positive, got {n}")
-    capacity = sum(sf.max_size for sf in speed_functions)
-    if capacity < n:
-        raise InfeasiblePartitionError(
-            f"problem of size {n} exceeds the combined memory bound "
-            f"{capacity:g} of the {len(speed_functions)} processors"
-        )
-    if pack is not None:
-        up = _expand_batched(pack, region.upper, 2.0, n, "upper", max_expansions)
-        if up is None:  # pragma: no cover - requires a pathological function
-            raise InfeasiblePartitionError(
-                "could not find a steep line allocating fewer than n elements"
-            )
-        down = _expand_batched(pack, region.lower, 0.5, n, "lower", max_expansions)
-        if down is None:
-            raise InfeasiblePartitionError(
-                f"problem of size {n} cannot be allocated even with "
-                "arbitrarily shallow lines; processors saturate at their "
-                "memory bounds"
-            )
-        return SlopeRegion(upper=up[0], lower=down[0]), 2 + up[1] + down[1]
-    upper = region.upper
-    lower = region.lower
-    probes = 2
-    # Steepen the upper line until it allocates at most n elements.
-    for _ in range(max_expansions):
-        if total(upper) <= n:
-            break
-        upper *= 2.0
-        probes += 1
-    else:  # pragma: no cover - requires a pathological speed function
-        raise InfeasiblePartitionError(
-            "could not find a steep line allocating fewer than n elements"
-        )
-    # Flatten the lower line until it allocates at least n elements.
-    for _ in range(max_expansions):
-        if total(lower) >= n:
-            break
-        lower *= 0.5
-        probes += 1
-    else:
-        raise InfeasiblePartitionError(
-            f"problem of size {n} cannot be allocated even with arbitrarily "
-            "shallow lines; processors saturate at their memory bounds"
-        )
-    return SlopeRegion(upper=upper, lower=lower), probes
+    return repaired, 2 + steps
 
 
 @dataclass

@@ -27,22 +27,29 @@ import numpy as np
 
 from ..exceptions import InfeasiblePartitionError
 from .options import reject_unknown_options
-from .geometry import total_allocation
 from .partition import partition
 from .result import PartitionResult
 from .speed_function import PiecewiseLinearSpeedFunction, SpeedFunction
+from .vectorized import ObjectSet, PiecewiseLinearSet, pack_speed_functions
 
 __all__ = ["group_speed_function", "HierarchicalResult", "partition_hierarchical"]
 
 
 def _optimal_slope(
-    members: Sequence[SpeedFunction], x: float, *, iterations: int = 120
+    members: Sequence[SpeedFunction],
+    x: float,
+    pack: PiecewiseLinearSet | ObjectSet,
+    *,
+    iterations: int = 120,
 ) -> float:
     """Slope of the group's optimal line for a (continuous) total of ``x``.
 
-    Solves ``total_allocation(c) = x`` by bisection; ``1/c`` is the
+    Solves ``sum(pack.allocations(c)) = x`` by bisection; ``1/c`` is the
     group's optimal makespan for ``x`` elements.
     """
+    def total(c: float) -> float:
+        return float(pack.allocations(c).sum())
+
     capacity = sum(sf.max_size for sf in members)
     if x >= capacity:
         raise InfeasiblePartitionError(
@@ -52,14 +59,14 @@ def _optimal_slope(
     hi = max(float(sf.g(min(1.0, sf.max_size))) for sf in members)
     lo = hi
     for _ in range(200):
-        if total_allocation(members, lo) >= x:
+        if total(lo) >= x:
             break
         lo *= 0.5
     else:  # pragma: no cover - capacity check above prevents this
         raise InfeasiblePartitionError("could not bracket the group slope")
     for _ in range(iterations):
         mid = 0.5 * (hi + lo)
-        if total_allocation(members, mid) >= x:
+        if total(mid) >= x:
             lo = mid
         else:
             hi = mid
@@ -89,7 +96,8 @@ def group_speed_function(
     if num < 2:
         raise InfeasiblePartitionError(f"num must be >= 2, got {num}")
     xs = np.geomspace(max(capacity * min_fraction, 1.0), capacity * (1 - 1e-9), num)
-    speeds = np.array([x * _optimal_slope(members, float(x)) for x in xs])
+    pack = pack_speed_functions(members)
+    speeds = np.array([x * _optimal_slope(members, float(x), pack) for x in xs])
     return PiecewiseLinearSpeedFunction(xs, speeds)
 
 

@@ -32,8 +32,8 @@ import numpy as np
 from .. import obs
 from ..exceptions import ConfigurationError, ConvergenceError
 from .options import reject_unknown_options
-from .geometry import SlopeRegion, allocations, ensure_bracket, initial_bracket
-from .vectorized import PiecewiseLinearSet, pack_speed_functions
+from .geometry import SlopeRegion, ensure_bracket, initial_bracket
+from .vectorized import ObjectSet, PiecewiseLinearSet, pack_speed_functions
 from .refine import makespan, refine_greedy, refine_paper
 from .result import PartitionResult
 from .speed_function import SpeedFunction
@@ -67,7 +67,7 @@ def partition_modified(
     max_iterations: int = _DEFAULT_MAX_ITERATIONS,
     keep_trace: bool = False,
     region: SlopeRegion | None = None,
-    pack: PiecewiseLinearSet | None = None,
+    pack: PiecewiseLinearSet | ObjectSet | None = None,
     **extra,
 ) -> PartitionResult:
     """Partition ``n`` elements with the modified bisection algorithm.
@@ -87,21 +87,14 @@ def partition_modified(
         )
     if pack is None:
         pack = pack_speed_functions(speed_functions)
-    alloc_at = (
-        pack.allocations
-        if pack is not None
-        else (lambda c: allocations(speed_functions, c))
-    )
     warm = region is not None
     if region is None:
-        region = initial_bracket(speed_functions, n, allocator=alloc_at, pack=pack)
+        region = initial_bracket(speed_functions, n, pack=pack)
         probes = 1
     else:
-        region, probes = ensure_bracket(
-            region, n, speed_functions, allocator=alloc_at, pack=pack
-        )
-    low_alloc = alloc_at(region.upper)
-    high_alloc = alloc_at(region.lower)
+        region, probes = ensure_bracket(region, n, speed_functions, pack=pack)
+    low_alloc = pack.allocations(region.upper)
+    high_alloc = pack.allocations(region.lower)
     intersections = (probes + 2) * p
     iterations = 0
     trace: list[tuple[float, float]] = []
@@ -131,7 +124,7 @@ def partition_modified(
         # clamped intersections could push it onto a boundary.
         if not (region.lower < slope < region.upper) or not math.isfinite(slope):
             slope = region.midpoint("tangent")
-        mid_alloc = alloc_at(slope)
+        mid_alloc = pack.allocations(slope)
         intersections += p
         total = float(mid_alloc.sum())
         if keep_trace:

@@ -28,7 +28,7 @@ from ..exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .geometry import SlopeRegion
-    from .vectorized import PiecewiseLinearSet
+    from .vectorized import ObjectSet, PiecewiseLinearSet
 
 __all__ = ["PartitionOptions", "reject_unknown_options"]
 
@@ -55,8 +55,9 @@ class PartitionOptions:
         Warm-start :class:`~repro.core.geometry.SlopeRegion` (a converged
         bracket from a nearby problem), repaired before use.
     pack:
-        Pre-built :class:`~repro.core.vectorized.PiecewiseLinearSet` for
-        the same speed functions, shared across many queries.
+        Pre-built fleet evaluator for the same speed functions (see
+        :func:`~repro.core.vectorized.pack_speed_functions`), shared across
+        many queries.
     bounds:
         Per-processor element bounds ``b_i`` (the general problem
         statement); applied by truncating the speed graphs before the
@@ -71,7 +72,7 @@ class PartitionOptions:
     max_iterations: int | None = None
     keep_trace: bool = False
     region: "SlopeRegion | None" = None
-    pack: "PiecewiseLinearSet | None" = None
+    pack: "PiecewiseLinearSet | ObjectSet | None" = None
     bounds: Sequence[float] | None = None
     validate: bool = False
 

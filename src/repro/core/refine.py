@@ -31,16 +31,13 @@ Two procedures are provided:
 from __future__ import annotations
 
 import heapq
-import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import InfeasiblePartitionError
 from .speed_function import SpeedFunction
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .vectorized import PiecewiseLinearSet
+from .vectorized import ObjectSet, PiecewiseLinearSet
 
 __all__ = ["makespan", "refine_greedy", "refine_paper"]
 
@@ -49,38 +46,23 @@ def makespan(
     speed_functions: Sequence[SpeedFunction],
     allocation: Sequence[int],
     *,
-    pack: "PiecewiseLinearSet | None" = None,
+    pack: PiecewiseLinearSet | ObjectSet | None = None,
 ) -> float:
     """Parallel execution time of an allocation: ``max_i t_i(x_i)``.
 
-    ``pack`` optionally supplies the shared
-    :class:`~repro.core.vectorized.PiecewiseLinearSet` of the same
-    functions, replacing the ``p`` per-object time evaluations with one
-    vectorised pass (bit-identical results).
+    ``pack`` optionally supplies the fleet evaluator of the same functions
+    (a compiled pack evaluates all ``p`` times in one vectorised pass); the
+    per-object :class:`~repro.core.vectorized.ObjectSet` is used when it is
+    omitted.
     """
-    if pack is not None:
-        return float(
-            pack.times(np.asarray(allocation, dtype=np.int64).astype(float)).max()
+    if pack is None:
+        pack = ObjectSet(speed_functions)
+    x = np.asarray(allocation, dtype=np.int64)
+    if x.shape != (pack.p,):
+        raise ValueError(
+            f"allocation has {x.size} entries for {pack.p} processors"
         )
-    return float(
-        max(
-            sf.time(int(x))
-            for sf, x in zip(speed_functions, allocation, strict=True)
-        )
-    )
-
-
-def _clip_to_bounds(
-    speed_functions: Sequence[SpeedFunction], allocation: np.ndarray
-) -> np.ndarray:
-    bounds = np.array(
-        [
-            sf.max_size if math.isinf(sf.max_size) else math.floor(sf.max_size)
-            for sf in speed_functions
-        ],
-        dtype=float,
-    )
-    return np.minimum(allocation, bounds)
+    return float(pack.times(x.astype(float)).max())
 
 
 def refine_greedy(
@@ -88,7 +70,7 @@ def refine_greedy(
     speed_functions: Sequence[SpeedFunction],
     base_allocation: Sequence[float],
     *,
-    pack: "PiecewiseLinearSet | None" = None,
+    pack: PiecewiseLinearSet | ObjectSet | None = None,
 ) -> np.ndarray:
     """Optimal integer completion of a fractional under-allocation.
 
@@ -103,11 +85,11 @@ def refine_greedy(
         the intersections with the steeper bounding line).  Values are
         floored and clipped to each processor's memory bound.
     pack:
-        Optional shared :class:`~repro.core.vectorized.PiecewiseLinearSet`
-        of the same functions.  When given, the initial floor/heap build
-        evaluates all ``p`` finish times in one vectorised pass instead of
-        ``p`` per-object Python calls; the result is bit-identical (the
-        heap pops in strict ``(time, index)`` order either way).
+        Optional fleet evaluator of the same functions; the per-object
+        :class:`~repro.core.vectorized.ObjectSet` when omitted.  On an
+        evaluator with ``speculative_rows > 1`` (the compiled pack) the
+        handout evaluates whole rounds of finish times at once and
+        reproduces the heap's strict ``(time, index)`` pop order exactly.
 
     Returns
     -------
@@ -120,14 +102,11 @@ def refine_greedy(
         If the floors already exceed ``n`` or the memory bounds make the
         total unreachable.
     """
+    if pack is None:
+        pack = ObjectSet(speed_functions)
+    bounds = pack.max_sizes
     base = np.floor(np.asarray(base_allocation, dtype=float))
-    if pack is not None:
-        bounds = pack.max_sizes
-        base = np.minimum(base, np.floor(bounds))
-    else:
-        bounds = np.array([sf.max_size for sf in speed_functions], dtype=float)
-        base = _clip_to_bounds(speed_functions, base)
-    base = np.maximum(base, 0.0)
+    base = np.maximum(np.minimum(base, np.floor(bounds)), 0.0)
     alloc = base.astype(np.int64)
     deficit = int(n) - int(alloc.sum())
     if deficit < 0:
@@ -136,19 +115,25 @@ def refine_greedy(
         )
     if deficit == 0:
         return alloc
-    if pack is not None:
-        return _handout_batched(n, alloc, deficit, bounds, pack, speed_functions)
-    # Min-heap keyed by the finish time each processor would have *after*
-    # receiving one more element.
-    heap = []
-    for i, sf in enumerate(speed_functions):
-        if alloc[i] + 1 <= bounds[i]:
-            heapq.heappush(heap, (float(sf.time(alloc[i] + 1)), i))
-    return _handout_heap(n, alloc, deficit, bounds, heap, speed_functions)
+    if pack.speculative_rows > 1:
+        return _handout_batched(n, alloc, deficit, bounds, pack)
+    # Per-object evaluator: a batched round pays two whole rows of object
+    # calls, the heap one row plus one call per handed-out element.
+    heap = _next_heap(alloc, bounds, pack)
+    return _handout_heap(n, alloc, deficit, bounds, heap, pack)
 
 
-def _handout_heap(n, alloc, deficit, bounds, heap, speed_functions, pack=None):
-    """The classic one-element-at-a-time greedy handout (reference path)."""
+def _next_heap(alloc, bounds, pack) -> list[tuple[float, int]]:
+    """Heap of ``(finish time after one more element, index)`` entries."""
+    t_next = pack.times((alloc + 1).astype(float))
+    heap = [(float(t_next[i]), int(i)) for i in np.nonzero(alloc + 1 <= bounds)[0]]
+    heapq.heapify(heap)
+    return heap
+
+
+def _handout_heap(n, alloc, deficit, bounds, heap, pack):
+    """The classic one-element-at-a-time greedy handout over ``heap``
+    (see :func:`_next_heap`)."""
     for _ in range(deficit):
         if not heap:
             raise InfeasiblePartitionError(
@@ -157,12 +142,7 @@ def _handout_heap(n, alloc, deficit, bounds, heap, speed_functions, pack=None):
         _, i = heapq.heappop(heap)
         alloc[i] += 1
         if alloc[i] + 1 <= bounds[i]:
-            t = (
-                pack.time_one(i, int(alloc[i]) + 1)
-                if pack is not None
-                else float(speed_functions[i].time(alloc[i] + 1))
-            )
-            heapq.heappush(heap, (t, i))
+            heapq.heappush(heap, (pack.time_one(i, int(alloc[i]) + 1), i))
     return alloc
 
 
@@ -170,7 +150,7 @@ def _handout_heap(n, alloc, deficit, bounds, heap, speed_functions, pack=None):
 _MAX_SLOW_ROUNDS = 4
 
 
-def _handout_batched(n, alloc, deficit, bounds, pack, speed_functions):
+def _handout_batched(n, alloc, deficit, bounds, pack):
     """Exact batched simulation of the greedy heap handout.
 
     The heap pops candidates in ``(finish time, index)`` order, where each
@@ -215,15 +195,8 @@ def _handout_batched(n, alloc, deficit, bounds, pack, speed_functions):
             slow_rounds += 1
             if slow_rounds >= _MAX_SLOW_ROUNDS and deficit > 0:
                 # Tie-heavy instance: finish with the reference heap.
-                t_next = pack.times((alloc + 1).astype(float))
-                heap = [
-                    (float(t_next[i]), int(i))
-                    for i in np.nonzero(alloc + 1 <= bounds)[0]
-                ]
-                heapq.heapify(heap)
-                return _handout_heap(
-                    n, alloc, deficit, bounds, heap, speed_functions, pack=pack
-                )
+                heap = _next_heap(alloc, bounds, pack)
+                return _handout_heap(n, alloc, deficit, bounds, heap, pack)
     return alloc
 
 
@@ -233,7 +206,7 @@ def refine_paper(
     lower_allocation: Sequence[float],
     upper_allocation: Sequence[float],
     *,
-    pack: "PiecewiseLinearSet | None" = None,
+    pack: PiecewiseLinearSet | ObjectSet | None = None,
 ) -> np.ndarray:
     """The paper's 2p-candidate fine-tuning (figure 9).
 
@@ -243,20 +216,15 @@ def refine_paper(
     former and ``ceil`` of the latter; the procedure upgrades the cheapest
     processors (by execution time at the upgraded size, mirroring the
     paper's sort of the ``2p`` times) until the total reaches ``n``.
-    ``pack`` batches the initial finish-time evaluations as in
-    :func:`refine_greedy`.
+    ``pack`` is the fleet evaluator, as in :func:`refine_greedy`.
     """
-    if pack is not None:
-        bounds_floor = np.floor(pack.max_sizes)
-        low = np.floor(np.asarray(lower_allocation, dtype=float))
-        low = np.maximum(np.minimum(low, bounds_floor), 0.0).astype(np.int64)
-        high = np.ceil(np.asarray(upper_allocation, dtype=float))
-        high = np.maximum(np.minimum(high, bounds_floor), 0.0).astype(np.int64)
-    else:
-        low = np.floor(np.asarray(lower_allocation, dtype=float))
-        low = np.maximum(_clip_to_bounds(speed_functions, low), 0.0).astype(np.int64)
-        high = np.ceil(np.asarray(upper_allocation, dtype=float))
-        high = np.maximum(_clip_to_bounds(speed_functions, high), 0.0).astype(np.int64)
+    if pack is None:
+        pack = ObjectSet(speed_functions)
+    bounds_floor = np.floor(pack.max_sizes)
+    low = np.floor(np.asarray(lower_allocation, dtype=float))
+    low = np.maximum(np.minimum(low, bounds_floor), 0.0).astype(np.int64)
+    high = np.ceil(np.asarray(upper_allocation, dtype=float))
+    high = np.maximum(np.minimum(high, bounds_floor), 0.0).astype(np.int64)
     high = np.maximum(high, low)
     total_low = int(low.sum())
     total_high = int(high.sum())
@@ -268,29 +236,13 @@ def refine_paper(
     # resulting execution time first — the "choose the p best of the 2p
     # execution times" step expressed as a heap.
     alloc = low.copy()
-    if pack is not None:
-        upgradeable = np.nonzero(alloc < high)[0]
-        times = pack.times((alloc + 1).astype(float))
-        heap = [(float(times[i]), int(i)) for i in upgradeable]
-        heapq.heapify(heap)
-    else:
-        heap = []
-        for i, sf in enumerate(speed_functions):
-            if alloc[i] < high[i]:
-                heapq.heappush(heap, (float(sf.time(alloc[i] + 1)), i))
+    times = pack.times((alloc + 1).astype(float))
+    heap = [(float(times[i]), int(i)) for i in np.nonzero(alloc < high)[0]]
+    heapq.heapify(heap)
     deficit = n - total_low
     for _ in range(deficit):
         _, i = heapq.heappop(heap)
         alloc[i] += 1
         if alloc[i] < high[i]:
-            # Candidate finish times come off the pack when one is
-            # available (one scalar interpolation, no object dispatch),
-            # keeping every heap key on the same evaluation path as the
-            # vectorised initial build.
-            t = (
-                pack.time_one(int(i), int(alloc[i]) + 1)
-                if pack is not None
-                else float(speed_functions[i].time(alloc[i] + 1))
-            )
-            heapq.heappush(heap, (t, i))
+            heapq.heappush(heap, (pack.time_one(int(i), int(alloc[i]) + 1), i))
     return alloc

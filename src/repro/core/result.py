@@ -38,7 +38,7 @@ class PartitionResult:
         Tangent slope of the final line through the origin, when the
         algorithm is line-based; ``None`` otherwise.
     trace:
-        Optional per-iteration record of ``(slope, total_allocation)``
+        Optional per-iteration record of ``(slope, total allocation)``
         pairs, populated when the algorithm is run with ``keep_trace=True``.
         Used by the ablation benchmarks to reproduce the behaviour shown in
         figures 8, 10 and 11 of the paper.

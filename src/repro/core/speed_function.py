@@ -199,9 +199,9 @@ class SpeedFunction(ABC):
 
         Returns ``None`` when the model cannot be compiled (the default:
         opaque analytic callables and unknown subclasses), in which case
-        :func:`~repro.core.vectorized.pack_speed_functions` falls back to
-        the per-object path and records the blocking class on the
-        ``core.pack.fallback`` counter.
+        :func:`~repro.core.vectorized.pack_speed_functions` returns the
+        per-object :class:`~repro.core.vectorized.ObjectSet` evaluator and
+        records the blocking class on the ``core.pack.fallback`` counter.
         """
         return None
 

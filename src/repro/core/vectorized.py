@@ -1,19 +1,31 @@
-"""Vectorised ray intersections for heterogeneous speed-function sets.
+"""Fleet evaluators: vectorised ray intersections and the per-object adapter.
 
 The partitioning algorithms spend essentially all their time intersecting
-one ray with ``p`` speed graphs, ``O(log n)`` times.  The generic path
-loops over ``p`` Python objects; this module packs the whole fleet into
-padded 2-D arrays and resolves the whole ray in a handful of NumPy
-operations (a fixed-depth branchless binary search over the knot slopes).
+one ray with ``p`` speed graphs, ``O(log n)`` times, and evaluating the
+finish times ``t_i(x_i)`` while fine-tuning.  Every algorithm runs against
+one *evaluator* with a fixed surface — ``p``, ``max_sizes``, ``exact``,
+``speculative_rows``, ``fingerprint``, ``allocations``, ``allocations_many``,
+``speeds``, ``times``, ``time_one`` and ``rescaled`` — and this module
+provides its two implementations:
 
-:func:`pack_speed_functions` builds the shared pack (or returns ``None``
-when the fast path does not apply); callers that answer many queries over
-the same fleet — most notably :mod:`repro.planner` — construct it once and
-hand it to every algorithm call through their ``pack=`` parameter.
-:func:`make_allocator` remains the one-shot entry point: it returns the
-vectorised fast path when it applies and the plain loop otherwise, so the
-algorithms stay representation-agnostic.  The figure-21 cost benchmark
-exercises this path at ``p = 1080``.
+:class:`PiecewiseLinearSet`
+    packs the whole fleet into padded 2-D arrays and resolves a ray in a
+    handful of NumPy operations (a fixed-depth branchless binary search
+    over the knot slopes).  Every fleet whose members compile through the
+    knot protocol below gets one.
+:class:`ObjectSet`
+    the same surface as a loop over the member objects.  It serves fleets
+    that do not compile (raw analytic models, user subclasses,
+    single-machine fleets) and is the explicit bit-identity reference the
+    compiled pack is checked against (``ObjectSet(sfs)`` passed as
+    ``pack=``).
+
+:func:`pack_speed_functions` always returns an evaluator: the compiled
+pack when it applies, an :class:`ObjectSet` otherwise.  Callers that answer
+many queries over the same fleet — most notably :mod:`repro.planner` —
+construct it once and hand it to every algorithm call through their
+``pack=`` parameter.  The figure-21 cost benchmark exercises the compiled
+path at ``p = 1080``.
 
 Besides ray intersections the pack also evaluates per-processor speeds and
 execution times for whole allocation vectors (:meth:`PiecewiseLinearSet.speeds`
@@ -70,42 +82,22 @@ nested scaled(scaled)     1e-9 class: one fused division versus two
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .speed_function import KnotRow, SpeedFunction
+from .speed_function import (
+    ConstantSpeedFunction,
+    KnotRow,
+    PiecewiseLinearSpeedFunction,
+    SpeedFunction,
+)
 
 __all__ = [
+    "ObjectSet",
     "PiecewiseLinearSet",
-    "make_allocator",
     "pack_speed_functions",
-    "packing_disabled",
 ]
-
-#: When set, :func:`pack_speed_functions` refuses to pack — the honest
-#: per-object baseline for benchmarks and differential conformance runs.
-_PACKING_DISABLED = False
-
-
-@contextmanager
-def packing_disabled():
-    """Force the per-object path while the context is active.
-
-    Algorithms that auto-pack (``partition_bisection`` and friends) fall
-    back to the plain Python loop inside this context, which is what the
-    vectorisation benchmarks and ``verify.differential`` use as the
-    oracle.  Not thread-safe; intended for benchmarks and tests.
-    """
-    global _PACKING_DISABLED
-    saved = _PACKING_DISABLED
-    _PACKING_DISABLED = True
-    try:
-        yield
-    finally:
-        _PACKING_DISABLED = saved
-
 
 def _record_pack(outcome: str, blocked_by: str | None = None) -> None:
     """Count pack attempts on the obs registry (satellite: visible fallbacks)."""
@@ -138,6 +130,12 @@ class PiecewiseLinearSet:
     fleet-level flag so a pure piecewise-linear fleet executes exactly the
     original array expressions.
     """
+
+    #: Rows a speculative evaluation may compute at once: eight ladder
+    #: slopes per ``allocations_many`` call (bracket expansion, the exact
+    #: solver's halving ladder) and whole fine-tuning rounds cost about one
+    #: NumPy dispatch each, like a single row.
+    speculative_rows = 8
 
     def __init__(
         self,
@@ -636,62 +634,143 @@ def _record_pack_rescale() -> None:
         ).inc()
 
 
+def _describe(sf: SpeedFunction) -> bytes:
+    """Content bytes of one speed function for fingerprinting.
+
+    Exact knot/parameter bytes for every representation that compiles
+    through the knot protocol (:meth:`SpeedFunction.as_knots` fully
+    determines such a model's behaviour); for genuinely opaque
+    representations (analytic callables) the object identity is used
+    instead, which is *safe* (no false cache sharing) at the cost of not
+    deduplicating equal-content fleets built from distinct objects.
+    """
+    if type(sf) is PiecewiseLinearSpeedFunction:
+        return (
+            b"pwl:"
+            + np.ascontiguousarray(sf.knot_sizes).tobytes()
+            + b"/"
+            + np.ascontiguousarray(sf.knot_speeds).tobytes()
+        )
+    if type(sf) is ConstantSpeedFunction:
+        return f"const:{sf.value!r}:{sf.max_size!r}".encode()
+    row = sf.as_knots()
+    if row is not None:
+        return (
+            b"knots:"
+            + np.ascontiguousarray(row.sizes).tobytes()
+            + b"/"
+            + np.ascontiguousarray(row.speeds).tobytes()
+            + f":{row.alpha!r}:{row.beta!r}:{row.scale!r}"
+              f":{row.x_cap!r}:{row.s_cap!r}".encode()
+        )
+    return f"opaque:{type(sf).__name__}:{id(sf)}".encode()
+
+
+class ObjectSet:
+    """The evaluator surface of :class:`PiecewiseLinearSet`, per object.
+
+    Every method loops over the member speed functions (``intersect_ray``,
+    ``speed``, ``time``), so the results are the objects' own answers and
+    :attr:`exact` is always true.  This is the adapter for fleets that do
+    not compile through the knot protocol — the arbitrary-shape functional
+    models — and, passed explicitly as ``pack=ObjectSet(sfs)``, the
+    per-object reference the compiled pack is checked against.
+    """
+
+    exact = True
+    #: No speculation: every row costs ``p`` object calls, so ladders probe
+    #: one slope at a time and fine-tuning uses the one-element heap.
+    speculative_rows = 1
+
+    def __init__(self, speed_functions: Sequence[SpeedFunction]):
+        self._sfs = tuple(speed_functions)
+        self._max_sizes = np.array([sf.max_size for sf in self._sfs], dtype=float)
+        self._max_sizes.flags.writeable = False
+        self._fingerprint: str | None = None
+
+    @property
+    def p(self) -> int:
+        return len(self._sfs)
+
+    @property
+    def max_sizes(self) -> np.ndarray:
+        """Per-processor memory bounds; read-only."""
+        return self._max_sizes
+
+    @property
+    def fingerprint(self) -> str:
+        """Digest of the members' content (object identity when opaque)."""
+        if self._fingerprint is None:
+            h = hashlib.blake2b(digest_size=16)
+            for sf in self._sfs:
+                h.update(_describe(sf))
+                h.update(b"|")
+            self._fingerprint = h.hexdigest()
+        return self._fingerprint
+
+    def rescaled(self, factors: Sequence[float]) -> "ObjectSet":
+        """Always raises ``ValueError``: rebuild over ``scaled()`` members."""
+        raise ValueError("a per-object evaluator cannot be rescaled in place")
+
+    def allocations(self, slope: float) -> np.ndarray:
+        return np.array([sf.intersect_ray(slope) for sf in self._sfs], dtype=float)
+
+    def allocations_many(self, slopes: np.ndarray) -> np.ndarray:
+        c = np.asarray(slopes, dtype=float)
+        out = np.empty((c.size, self.p))
+        for r, slope in enumerate(c):
+            out[r] = self.allocations(float(slope))
+        return out
+
+    def speeds(self, x: np.ndarray) -> np.ndarray:
+        return np.array(
+            [sf.speed(float(v)) for sf, v in zip(self._sfs, np.asarray(x, dtype=float))],
+            dtype=float,
+        )
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        return np.array(
+            [sf.time(float(v)) for sf, v in zip(self._sfs, np.asarray(x, dtype=float))],
+            dtype=float,
+        )
+
+    def time_one(self, i: int, x: float) -> float:
+        return float(self._sfs[i].time(float(x)))
+
+
 def pack_speed_functions(
     speed_functions: Sequence[SpeedFunction],
-) -> PiecewiseLinearSet | None:
-    """Pack a fleet into a shared :class:`PiecewiseLinearSet`, if possible.
+) -> PiecewiseLinearSet | ObjectSet:
+    """The evaluator for a fleet: the compiled pack when possible.
 
     Every member is lowered through the compilation protocol
     (:meth:`SpeedFunction.as_knots`); mixed fleets of piecewise-linear,
-    constant, step, truncated, comm-aware and scaled models all compile.
-    Returns ``None`` when the fast path does not apply: fewer than two
-    processors, any member whose ``as_knots`` returns ``None`` (raw
-    analytic models, stacked comm decorations, unknown subclasses), or a
-    degenerate fleet where every row has a single knot (no segments to
-    search).  Fallbacks are recorded on the ``core.pack.fallback``
-    counter, labelled by the blocking class, so they show up in
-    ``repro stats`` instead of silently losing an order of magnitude.
+    constant, step, truncated, comm-aware and scaled models all compile
+    into one :class:`PiecewiseLinearSet`.  Otherwise the result is an
+    :class:`ObjectSet`: fewer than two processors, any member whose
+    ``as_knots`` returns ``None`` (raw analytic models, stacked comm
+    decorations, unknown subclasses), or a degenerate fleet where every
+    row has a single knot (no segments to search).  Fallbacks are recorded
+    on the ``core.pack.fallback`` counter, labelled by the blocking class,
+    so they show up in ``repro stats`` instead of silently losing an order
+    of magnitude.
 
-    This is the hook that lets callers pack **once** per fleet and reuse
-    the arrays across many partition calls through the algorithms'
-    ``pack=`` parameter, instead of re-packing on every call.
+    This is the hook that lets callers build the evaluator **once** per
+    fleet and reuse it across many partition calls through the
+    algorithms' ``pack=`` parameter.
     """
-    if _PACKING_DISABLED:
-        return None
     if len(speed_functions) < 2:
         _record_pack("fallback", "fleet_too_small")
-        return None
+        return ObjectSet(speed_functions)
     rows = []
     for sf in speed_functions:
         row = sf.as_knots()
         if row is None:
             _record_pack("fallback", type(sf).__name__)
-            return None
+            return ObjectSet(speed_functions)
         rows.append(row)
     if max(r.num_knots for r in rows) < 2:
         _record_pack("fallback", "degenerate_knots")
-        return None
+        return ObjectSet(speed_functions)
     _record_pack("fast_path")
     return PiecewiseLinearSet(speed_functions, rows=rows)
-
-
-def make_allocator(
-    speed_functions: Sequence[SpeedFunction],
-) -> Callable[[float], np.ndarray]:
-    """Fastest available ``slope -> allocations`` callable for a set.
-
-    Uses :class:`PiecewiseLinearSet` when the whole fleet compiles through
-    the knot protocol, and the generic per-object loop otherwise.
-    One-shot convenience around :func:`pack_speed_functions`; repeated
-    callers should pack once.
-    """
-    packed = pack_speed_functions(speed_functions)
-    if packed is not None:
-        return packed.allocations
-
-    def generic(slope: float) -> np.ndarray:
-        return np.array(
-            [sf.intersect_ray(slope) for sf in speed_functions], dtype=float
-        )
-
-    return generic

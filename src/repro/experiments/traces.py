@@ -22,10 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from ..core.bisection import partition_bisection
-from ..core.geometry import allocations, initial_bracket
+from ..core.geometry import initial_bracket
 from ..core.modified import partition_modified
 from ..core.refine import makespan
 from ..core.speed_function import SpeedFunction
+from ..core.vectorized import pack_speed_functions
 
 __all__ = [
     "OptimalLineDemo",
@@ -111,10 +112,11 @@ def bisection_trace(
     n: int, speed_functions: Sequence[SpeedFunction]
 ) -> BisectionTrace:
     """Record the basic bisection's line sequence for a problem."""
-    region = initial_bracket(speed_functions, n)
-    upper_total = float(allocations(speed_functions, region.upper).sum())
-    lower_total = float(allocations(speed_functions, region.lower).sum())
-    result = partition_bisection(n, speed_functions, keep_trace=True)
+    pack = pack_speed_functions(speed_functions)
+    region = initial_bracket(speed_functions, n, pack=pack)
+    upper_total = float(pack.allocations(region.upper).sum())
+    lower_total = float(pack.allocations(region.lower).sum())
+    result = partition_bisection(n, speed_functions, keep_trace=True, pack=pack)
     return BisectionTrace(
         n=n,
         initial_upper=(region.upper, upper_total),

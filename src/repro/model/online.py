@@ -195,7 +195,7 @@ class OnlineBandRefitter:
         # fleet does not compile into the vectorised pack.
         self._base_rows = (
             [sf.as_knots() for sf in self._functions]
-            if self._base_fleet.pack is not None
+            if isinstance(self._base_fleet.pack, PiecewiseLinearSet)
             else None
         )
         reg = get_registry()

@@ -7,11 +7,13 @@ the planner answers *many* queries over a fleet whose composition changes
 rarely; :class:`Fleet` front-loads everything that depends only on the
 fleet:
 
-* the padded-array :class:`~repro.core.vectorized.PiecewiseLinearSet`
-  (built exactly once, shared by every query);
-* a stable **content fingerprint** — a hash of the knot arrays — used to
-  key plan caches, so two fleets with identical models share cached plans
-  even across reconstructions;
+* the fleet evaluator — the padded-array
+  :class:`~repro.core.vectorized.PiecewiseLinearSet` when every member
+  compiles, the per-object :class:`~repro.core.vectorized.ObjectSet`
+  otherwise — built exactly once and shared by every query;
+* a stable **content fingerprint** — the evaluator's hash of the knot
+  arrays — used to key plan caches, so two fleets with identical models
+  share cached plans even across reconstructions;
 * the combined memory capacity (the feasibility bound for any ``n``).
 
 A :class:`Fleet` is immutable: model updates (e.g. from
@@ -22,52 +24,15 @@ a disjoint cache key space.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..core.speed_function import (
-    ConstantSpeedFunction,
-    PiecewiseLinearSpeedFunction,
-    SpeedFunction,
-)
-from ..core.vectorized import PiecewiseLinearSet, pack_speed_functions
+from ..core.speed_function import SpeedFunction
+from ..core.vectorized import ObjectSet, PiecewiseLinearSet, pack_speed_functions
 from ..exceptions import InvalidSpeedFunctionError
 
 __all__ = ["Fleet"]
-
-
-def _describe(sf: SpeedFunction) -> bytes:
-    """Content bytes of one speed function for fingerprinting.
-
-    Exact knot/parameter bytes for every representation that compiles
-    through the knot protocol (:meth:`SpeedFunction.as_knots` fully
-    determines such a model's behaviour); for genuinely opaque
-    representations (analytic callables) the object identity is used
-    instead, which is *safe* (no false cache sharing) at the cost of not
-    deduplicating equal-content fleets built from distinct objects.
-    """
-    if type(sf) is PiecewiseLinearSpeedFunction:
-        return (
-            b"pwl:"
-            + np.ascontiguousarray(sf.knot_sizes).tobytes()
-            + b"/"
-            + np.ascontiguousarray(sf.knot_speeds).tobytes()
-        )
-    if type(sf) is ConstantSpeedFunction:
-        return f"const:{sf.value!r}:{sf.max_size!r}".encode()
-    row = sf.as_knots()
-    if row is not None:
-        return (
-            b"knots:"
-            + np.ascontiguousarray(row.sizes).tobytes()
-            + b"/"
-            + np.ascontiguousarray(row.speeds).tobytes()
-            + f":{row.alpha!r}:{row.beta!r}:{row.scale!r}"
-              f":{row.x_cap!r}:{row.s_cap!r}".encode()
-        )
-    return f"opaque:{type(sf).__name__}:{id(sf)}".encode()
 
 
 class Fleet:
@@ -77,10 +42,8 @@ class Fleet:
     ----------
     speed_functions:
         One :class:`~repro.core.speed_function.SpeedFunction` per
-        processor.  When every member is a
-        :class:`~repro.core.speed_function.PiecewiseLinearSpeedFunction`
-        the vectorised pack is built here, once, and reused by every
-        partition call made through the planner.
+        processor.  The fleet evaluator is built here, once, and reused
+        by every partition call made through the planner.
     name:
         Optional human-readable label (shown in CLI output).
     pack:
@@ -117,19 +80,10 @@ class Fleet:
                 f"pack covers {pack.p} processors, fleet has {len(sfs)}"
             )
         self._sfs = sfs
-        self._pack: PiecewiseLinearSet | None = (
-            pack if pack is not None else pack_speed_functions(sfs)
-        )
+        self._pack = pack if pack is not None else pack_speed_functions(sfs)
         self._capacity = float(sum(sf.max_size for sf in sfs))
         self._name = name
-        if self._pack is not None:
-            self._fingerprint = self._pack.fingerprint
-        else:
-            h = hashlib.blake2b(digest_size=16)
-            for sf in sfs:
-                h.update(_describe(sf))
-                h.update(b"|")
-            self._fingerprint = h.hexdigest()
+        self._fingerprint = self._pack.fingerprint
 
     # -- accessors ------------------------------------------------------
     @property
@@ -138,8 +92,8 @@ class Fleet:
         return self._sfs
 
     @property
-    def pack(self) -> PiecewiseLinearSet | None:
-        """The shared vectorised pack (``None`` for non-packable fleets)."""
+    def pack(self) -> PiecewiseLinearSet | ObjectSet:
+        """The shared evaluator: compiled pack, or per-object when opaque."""
         return self._pack
 
     @property
@@ -171,8 +125,9 @@ class Fleet:
         :meth:`~repro.core.vectorized.PiecewiseLinearSet.rescaled` — an
         ``O(p)`` scale-vector clone, not an ``O(p*m)`` repack — and the
         members become lazy ``scaled()`` wrappers over the originals.
-        Falls back to a full :class:`Fleet` construction when the pack is
-        absent or carries comm rows (whose scale cannot change in place).
+        Falls back to a full :class:`Fleet` construction when the evaluator
+        is per-object or carries comm rows (whose scale cannot change in
+        place).
         """
         f = np.asarray(factors, dtype=float)
         if f.shape != (self.p,):
@@ -185,11 +140,9 @@ class Fleet:
             sf if fi == 1.0 else sf.scaled(float(fi))
             for sf, fi in zip(self._sfs, f)
         )
-        if self._pack is None:
-            return Fleet(sfs, name=self._name)
         try:
             pack = self._pack.rescaled(f)
-        except ValueError:  # comm rows: scale does not commute, rebuild
+        except ValueError:  # per-object or comm rows: rebuild
             return Fleet(sfs, name=self._name)
         fleet = object.__new__(Fleet)
         fleet._sfs = sfs
@@ -203,28 +156,16 @@ class Fleet:
         return len(self._sfs)
 
     def __repr__(self) -> str:
-        kind = "packed" if self._pack is not None else "generic"
+        kind = "packed" if isinstance(self._pack, PiecewiseLinearSet) else "generic"
         return (
             f"Fleet({self.name}, p={self.p}, {kind}, "
             f"fingerprint={self._fingerprint[:8]}...)"
         )
 
     # -- evaluation helpers ---------------------------------------------
-    def allocator(self) -> Callable[[float], np.ndarray]:
-        """``slope -> allocations`` callable backed by the shared pack."""
-        if self._pack is not None:
-            return self._pack.allocations
-
-        sfs = self._sfs
-
-        def generic(slope: float) -> np.ndarray:
-            return np.array([sf.intersect_ray(slope) for sf in sfs], dtype=float)
-
-        return generic
-
     def allocations(self, slope: float) -> np.ndarray:
         """Ray intersections of ``y = slope*x`` with every member graph."""
-        return self.allocator()(slope)
+        return self._pack.allocations(slope)
 
     def total(self, slope: float) -> float:
         """Total allocation of the ray with the given slope."""

@@ -7,7 +7,8 @@ at capacity, one past capacity, negative) are pushed through every way
 the library can produce a plan:
 
 * ``partition_bisection`` — tangent and angle bisection, greedy and
-  paper refinement, packed (vectorised) and generic evaluation;
+  paper refinement, and the compiled pack against the per-object
+  :class:`~repro.core.vectorized.ObjectSet` evaluator;
 * ``partition_modified`` / ``partition_combined`` / ``partition_exact``;
 * ``partition_bounded`` (bisection vs exact over the truncated fleet);
 * :class:`~repro.planner.Planner` — cold, cache-hit, warm-started and
@@ -55,7 +56,7 @@ from ..core.speed_function import (
     SpeedFunction,
 )
 from ..core.step_model import StepSpeedFunction
-from ..core.vectorized import packing_disabled
+from ..core.vectorized import ObjectSet, PiecewiseLinearSet
 from ..exceptions import InfeasiblePartitionError
 from ..planner import Fleet, Planner
 from .certificate import check_allocation
@@ -503,24 +504,17 @@ def _run_case(
                              "paper refinement suboptimal by its documented "
                              f"boundary-candidate gap: {got / want:.4f}x optimal")
 
-        # -- packed (vectorised) evaluation -----------------------------
-        if fleet.pack is not None:
-            packed = _attempt(lambda: partition_bisection(n, sfs, pack=fleet.pack))
-            report.solves += 1
-            checker.compare(n, "bisection-packed", ref, packed)
-
-            # Compiled-vs-pure oracle: rerun the reference with knot
-            # compilation suppressed, so every evaluation goes through
-            # the per-object code.  Packs whose rows all compile exactly
-            # (constants, steps, truncations, scaled/tabulated models)
-            # must agree bit for bit; comm-aware rows replace a
-            # per-object bisection with a closed-form segment solve and
-            # are documented to the 1e-9 class.
-            def _pure_solve():
-                with packing_disabled():
-                    return partition_bisection(n, sfs)
-
-            pure = _attempt(_pure_solve)
+        # -- compiled pack vs the per-object evaluator ------------------
+        if isinstance(fleet.pack, PiecewiseLinearSet):
+            # Rerun the reference on the explicit per-object evaluator.
+            # Packs whose rows all compile exactly (constants, steps,
+            # truncations, scaled/tabulated models) must agree bit for
+            # bit; comm-aware rows replace a per-object bisection with a
+            # closed-form segment solve and are documented to the 1e-9
+            # class.
+            pure = _attempt(
+                lambda: partition_bisection(n, sfs, pack=ObjectSet(sfs))
+            )
             report.solves += 1
             checker.compare(
                 n, "pure-oracle", ref, pure, bit_identical=fleet.pack.exact

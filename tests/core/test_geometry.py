@@ -6,32 +6,32 @@ import numpy as np
 import pytest
 
 from repro import ConstantSpeedFunction, InfeasiblePartitionError
-from repro.core.geometry import (
-    SlopeRegion,
-    allocations,
-    ensure_bracket,
-    initial_bracket,
-    total_allocation,
-)
+from repro.core.geometry import SlopeRegion, ensure_bracket, initial_bracket
+from repro.core.vectorized import ObjectSet, pack_speed_functions
 from tests.conftest import make_hump_pwl, make_increasing_pwl, make_pwl
+
+
+def total(sfs, slope: float) -> float:
+    """Total allocation of the ray, evaluated per object."""
+    return float(ObjectSet(sfs).allocations(slope).sum())
 
 
 class TestAllocations:
     def test_matches_individual_intersections(self, heterogeneous_trio):
         slope = 1e-4
-        out = allocations(heterogeneous_trio, slope)
+        out = pack_speed_functions(heterogeneous_trio).allocations(slope)
         expected = [sf.intersect_ray(slope) for sf in heterogeneous_trio]
         np.testing.assert_allclose(out, expected)
 
     def test_total_is_sum(self, heterogeneous_trio):
         slope = 2e-4
-        assert total_allocation(heterogeneous_trio, slope) == pytest.approx(
-            float(allocations(heterogeneous_trio, slope).sum())
+        assert total(heterogeneous_trio, slope) == pytest.approx(
+            sum(sf.intersect_ray(slope) for sf in heterogeneous_trio)
         )
 
     def test_total_monotone_nonincreasing_in_slope(self, heterogeneous_trio):
         slopes = np.geomspace(1e-6, 1e-1, 60)
-        totals = [total_allocation(heterogeneous_trio, float(c)) for c in slopes]
+        totals = [total(heterogeneous_trio, float(c)) for c in slopes]
         assert all(a >= b - 1e-9 for a, b in zip(totals, totals[1:]))
 
 
@@ -39,8 +39,8 @@ class TestInitialBracket:
     def test_brackets_the_target(self, heterogeneous_trio):
         n = 1_000_000
         region = initial_bracket(heterogeneous_trio, n)
-        assert total_allocation(heterogeneous_trio, region.upper) <= n
-        assert total_allocation(heterogeneous_trio, region.lower) >= n
+        assert total(heterogeneous_trio, region.upper) <= n
+        assert total(heterogeneous_trio, region.lower) >= n
 
     def test_constant_speeds_bracket_collapses(self):
         sfs = [ConstantSpeedFunction(100.0), ConstantSpeedFunction(100.0)]
@@ -71,8 +71,8 @@ class TestInitialBracket:
         sfs = [factory(100.0), factory(40.0)]
         n = 500_000
         region = initial_bracket(sfs, n)
-        assert total_allocation(sfs, region.upper) <= n
-        assert total_allocation(sfs, region.lower) >= n
+        assert total(sfs, region.upper) <= n
+        assert total(sfs, region.lower) >= n
 
 
 class TestSlopeRegion:
@@ -126,16 +126,16 @@ class TestEnsureBracket:
         small = initial_bracket(heterogeneous_trio, 10_000)
         big_n = 3_000_000
         repaired, probes = ensure_bracket(small, big_n, heterogeneous_trio)
-        assert total_allocation(heterogeneous_trio, repaired.upper) <= big_n
-        assert total_allocation(heterogeneous_trio, repaired.lower) >= big_n
+        assert total(heterogeneous_trio, repaired.upper) <= big_n
+        assert total(heterogeneous_trio, repaired.lower) >= big_n
         assert probes >= 2
 
     def test_repairs_region_for_smaller_n(self, heterogeneous_trio):
         big = initial_bracket(heterogeneous_trio, 3_000_000)
         small_n = 10_000
         repaired, _ = ensure_bracket(big, small_n, heterogeneous_trio)
-        assert total_allocation(heterogeneous_trio, repaired.upper) <= small_n
-        assert total_allocation(heterogeneous_trio, repaired.lower) >= small_n
+        assert total(heterogeneous_trio, repaired.upper) <= small_n
+        assert total(heterogeneous_trio, repaired.lower) >= small_n
 
     def test_probe_count_scales_logarithmically(self, heterogeneous_trio):
         near = initial_bracket(heterogeneous_trio, 1_000_000)
@@ -156,12 +156,8 @@ class TestEnsureBracket:
             ensure_bracket(region, 10_000, sfs)
 
     def test_custom_allocator_used(self, heterogeneous_trio):
-        from repro.core.vectorized import pack_speed_functions
-
         pack = pack_speed_functions(heterogeneous_trio)
         region = initial_bracket(heterogeneous_trio, 50_000)
-        via_pack, _ = ensure_bracket(
-            region, 2_000_000, heterogeneous_trio, allocator=pack.allocations
-        )
+        via_pack, _ = ensure_bracket(region, 2_000_000, heterogeneous_trio, pack=pack)
         via_scalar, _ = ensure_bracket(region, 2_000_000, heterogeneous_trio)
         assert via_pack == via_scalar

@@ -7,10 +7,17 @@ segment solve replaces the per-object bisection and is documented to the
 1e-9 class.  These tests pin that contract per family, for every pack
 entry point (``allocations``, ``allocations_many``, ``speeds``,
 ``times``, ``time_one``), plus the O(p) rescale clone and the
-fallback/fast-path counters.
+fallback/fast-path counters.  Fleets that do not compile get the
+per-object :class:`~repro.core.vectorized.ObjectSet` evaluator, which must
+drive every solver to the optimum and stay independent of any compiled
+solve running beside it.
 """
 
 from __future__ import annotations
+
+import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,14 +31,20 @@ from repro import (
 )
 from repro.core.bounded import TruncatedSpeedFunction
 from repro.core.comm_aware import CommAwareSpeedFunction
-from repro.core.bisection import partition_bisection
+from repro.core.bisection import partition_bisection, partition_bisection_many
+from repro.core.combined import partition_combined
+from repro.core.exact import partition_exact
+from repro.core.geometry import SlopeRegion, ensure_bracket
+from repro.core.modified import partition_modified
+from repro.core.refine import refine_greedy
 from repro.core.step_model import StepSpeedFunction
 from repro.core.vectorized import (
+    ObjectSet,
     PiecewiseLinearSet,
     pack_speed_functions,
-    packing_disabled,
 )
-from repro.planner import Fleet
+from repro.planner import Fleet, Planner
+from repro.verify import check_allocation
 from tests.conftest import make_hump_pwl, make_pwl
 
 SLOPES = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3]
@@ -77,10 +90,52 @@ def _probe_sizes(pack):
     ]
 
 
+def _random_exact_fleet(rng):
+    """2-6 machines drawn from the exact-class families."""
+    sfs = []
+    for _ in range(int(rng.integers(2, 7))):
+        roll = rng.random()
+        peak = float(10.0 ** rng.uniform(1.0, 2.5))
+        if roll < 0.25:
+            sfs.append(make_pwl(peak, scale=float(rng.uniform(0.5, 4.0))))
+        elif roll < 0.45:
+            m = int(rng.integers(1, 5))
+            bs = np.sort(10.0 ** rng.uniform(3.0, 6.5, m))
+            while np.any(np.diff(bs) <= 0):
+                bs = np.sort(10.0 ** rng.uniform(3.0, 6.5, m))
+            ss = peak * np.sort(rng.uniform(0.05, 1.0, m))[::-1]
+            while np.any(np.diff(ss) >= 0):
+                ss = peak * np.sort(rng.uniform(0.05, 1.0, m))[::-1]
+            sfs.append(StepSpeedFunction(bs, ss))
+        elif roll < 0.65:
+            base = make_pwl(peak)
+            sfs.append(
+                TruncatedSpeedFunction(base, float(rng.uniform(2e3, 1.9e6)))
+            )
+        elif roll < 0.85:
+            sfs.append(make_pwl(peak).scaled(float(rng.uniform(0.2, 5.0))))
+        else:
+            cap = float(10.0 ** rng.uniform(4.0, 6.5)) if rng.random() < 0.7 else np.inf
+            sfs.append(
+                ConstantSpeedFunction(peak, max_size=cap)
+                if np.isfinite(cap)
+                else ConstantSpeedFunction(peak)
+            )
+    return sfs
+
+
+def _analytic(peak: float, knee: float, max_size: float) -> AnalyticSpeedFunction:
+    """A raw analytic model: no knot lowering, so it blocks compilation."""
+    return AnalyticSpeedFunction(
+        lambda x: peak / (1.0 + np.asarray(x, dtype=float) / knee),
+        max_size=max_size,
+    )
+
+
 def assert_pack_matches(sfs, *, exact=True, rtol=0.0):
     """The family contract: every pack entry point vs the object path."""
     pack = pack_speed_functions(sfs)
-    assert pack is not None, "fleet unexpectedly failed to compile"
+    assert isinstance(pack, PiecewiseLinearSet), "fleet unexpectedly failed to compile"
     assert pack.exact == exact
 
     for slope in SLOPES:
@@ -159,7 +214,7 @@ class TestPerFamilyConformance:
             make_pwl(150.0),
         ]
         pack = pack_speed_functions(sfs)
-        assert pack is not None and pack.exact is False
+        assert isinstance(pack, PiecewiseLinearSet) and pack.exact is False
         for slope in SLOPES:
             np.testing.assert_allclose(
                 pack.allocations(slope),
@@ -181,14 +236,14 @@ class TestPerFamilyConformance:
         inner = CommAwareSpeedFunction(make_pwl(100.0), startup_s=1e-4)
         outer = CommAwareSpeedFunction(inner, seconds_per_element=1e-7)
         assert outer.as_knots() is None
-        assert pack_speed_functions([outer, make_pwl(50.0)]) is None
+        assert isinstance(pack_speed_functions([outer, make_pwl(50.0)]), ObjectSet)
 
     def test_analytic_blocks_compilation(self):
         analytic = AnalyticSpeedFunction(
             lambda x: 100.0 / (1.0 + np.asarray(x, dtype=float) / 1e5),
             max_size=1e6,
         )
-        assert pack_speed_functions([analytic, make_pwl(50.0)]) is None
+        assert isinstance(pack_speed_functions([analytic, make_pwl(50.0)]), ObjectSet)
 
 
 class TestPropertyConformance:
@@ -196,37 +251,9 @@ class TestPropertyConformance:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_random_mixed_fleet_bit_identity(self, seed):
         rng = np.random.default_rng(seed)
-        sfs = []
-        for _ in range(int(rng.integers(2, 7))):
-            roll = rng.random()
-            peak = float(10.0 ** rng.uniform(1.0, 2.5))
-            if roll < 0.25:
-                sfs.append(make_pwl(peak, scale=float(rng.uniform(0.5, 4.0))))
-            elif roll < 0.45:
-                m = int(rng.integers(1, 5))
-                bs = np.sort(10.0 ** rng.uniform(3.0, 6.5, m))
-                while np.any(np.diff(bs) <= 0):
-                    bs = np.sort(10.0 ** rng.uniform(3.0, 6.5, m))
-                ss = peak * np.sort(rng.uniform(0.05, 1.0, m))[::-1]
-                while np.any(np.diff(ss) >= 0):
-                    ss = peak * np.sort(rng.uniform(0.05, 1.0, m))[::-1]
-                sfs.append(StepSpeedFunction(bs, ss))
-            elif roll < 0.65:
-                base = make_pwl(peak)
-                sfs.append(
-                    TruncatedSpeedFunction(base, float(rng.uniform(2e3, 1.9e6)))
-                )
-            elif roll < 0.85:
-                sfs.append(make_pwl(peak).scaled(float(rng.uniform(0.2, 5.0))))
-            else:
-                cap = float(10.0 ** rng.uniform(4.0, 6.5)) if rng.random() < 0.7 else np.inf
-                sfs.append(
-                    ConstantSpeedFunction(peak, max_size=cap)
-                    if np.isfinite(cap)
-                    else ConstantSpeedFunction(peak)
-                )
+        sfs = _random_exact_fleet(rng)
         pack = pack_speed_functions(sfs)
-        assert pack is not None
+        assert isinstance(pack, PiecewiseLinearSet)
         for slope in 10.0 ** rng.uniform(-7, 2, 8):
             np.testing.assert_array_equal(
                 pack.allocations(float(slope)),
@@ -247,8 +274,7 @@ class TestPropertyConformance:
             TruncatedSpeedFunction(make_hump_pwl(180.0), 9e5),
         ]
         packed = partition_bisection(n, sfs)
-        with packing_disabled():
-            pure = partition_bisection(n, sfs)
+        pure = partition_bisection(n, sfs, pack=ObjectSet(sfs))
         np.testing.assert_array_equal(packed.allocation, pure.allocation)
         assert float(packed.makespan) == float(pure.makespan)
 
@@ -339,8 +365,149 @@ class TestCounters:
     def test_fleet_rescaled_reuses_pack(self):
         fleet = Fleet([make_pwl(100.0), make_pwl(60.0)])
         scaled = fleet.rescaled([2.0, 1.0])
-        assert scaled.pack is not None
+        assert isinstance(scaled.pack, PiecewiseLinearSet)
         assert scaled.pack is not fleet.pack
         # The knot arrays are shared, only the scale vector is new.
         assert scaled.pack._xs is fleet.pack._xs
         np.testing.assert_array_equal(scaled.pack.scales, [2.0, 1.0])
+
+
+class TestObjectSetEvaluator:
+    """The per-object evaluator: same surface, same answers, no globals."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_agrees_bit_for_bit_with_exact_pack(self, seed):
+        rng = np.random.default_rng(seed)
+        sfs = _random_exact_fleet(rng)
+        pack = pack_speed_functions(sfs)
+        objects = ObjectSet(sfs)
+        assert isinstance(pack, PiecewiseLinearSet) and pack.exact
+        assert objects.p == pack.p and objects.exact
+        np.testing.assert_array_equal(objects.max_sizes, pack.max_sizes)
+        slopes = 10.0 ** rng.uniform(-7, 2, 6)
+        for slope in slopes:
+            np.testing.assert_array_equal(
+                objects.allocations(float(slope)), pack.allocations(float(slope))
+            )
+        many = objects.allocations_many(slopes)
+        np.testing.assert_array_equal(many, pack.allocations_many(slopes))
+        for r, slope in enumerate(slopes):
+            np.testing.assert_array_equal(many[r], pack.allocations(float(slope)))
+        for xs in _probe_sizes(pack):
+            np.testing.assert_array_equal(objects.speeds(xs), pack.speeds(xs))
+            t = objects.times(xs)
+            np.testing.assert_array_equal(t, pack.times(xs))
+            for i in range(pack.p):
+                assert objects.time_one(i, float(xs[i])) == t[i]
+                assert pack.time_one(i, float(xs[i])) == t[i]
+
+    def test_rescaled_refuses(self):
+        with pytest.raises(ValueError):
+            ObjectSet([make_pwl(100.0), make_pwl(50.0)]).rescaled([2.0, 1.0])
+
+    def test_object_set_evaluates_no_speculative_rows(self, monkeypatch):
+        """Per-object ladders probe one slope at a time and the handout is
+        the heap: no object call is spent on a row or candidate that the
+        sequential algorithm would not have evaluated."""
+        calls = {"intersect_ray": 0, "time": 0}
+        for name in calls:
+            original = getattr(AnalyticSpeedFunction, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(AnalyticSpeedFunction, name, counted)
+        sfs = [_analytic(peak, 1e5, 1e9) for peak in (50.0, 120.0, 300.0)]
+        objects = ObjectSet(sfs)
+        assert objects.speculative_rows == 1
+        assert pack_speed_functions([make_pwl(1.0), make_pwl(2.0)]).speculative_rows > 1
+        stale = SlopeRegion(upper=1e3, lower=1e2)
+        _, probes = ensure_bracket(stale, 10**8, sfs, pack=objects)
+        assert probes > 3  # the ladder had to walk several steps
+        assert calls["intersect_ray"] == probes * len(sfs)
+        base = np.array([100.0, 200.0, 300.0])
+        refine_greedy(620, sfs, base, pack=objects)
+        assert calls["time"] == len(sfs) + 20  # the heap build, one per element
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        fill=st.floats(min_value=1e-4, max_value=0.95),
+    )
+    def test_analytic_fleets_reach_the_exact_optimum(self, seed, fill):
+        rng = np.random.default_rng(seed)
+        sfs = [
+            _analytic(float(rng.uniform(50.0, 200.0)),
+                      float(10.0 ** rng.uniform(4.0, 5.5)), 2e6),
+            make_pwl(float(rng.uniform(20.0, 200.0))),
+            StepSpeedFunction([1e4, 1e5, 2e6], [110.0, 55.0, 5.0]),
+        ]
+        if rng.random() < 0.5:
+            sfs.append(_analytic(float(rng.uniform(10.0, 90.0)), 3e5, 1e6))
+        assert isinstance(pack_speed_functions(sfs), ObjectSet)
+        capacity = sum(sf.max_size for sf in sfs)
+        n = max(1, int(fill * capacity))
+        m = max(1, n // 3)
+        optimum = partition_exact(n, sfs).makespan
+        fleet = Fleet(sfs)
+        plans = {
+            "bisection": partition_bisection(n, sfs),
+            "bisection_many": partition_bisection_many([m, n], sfs)[1],
+            "modified": partition_modified(n, sfs),
+            "combined": partition_combined(n, sfs),
+            "plan_many": Planner(fleet, algorithm="bisection").plan_many([m, n])[1],
+        }
+        for name, plan in plans.items():
+            assert int(plan.allocation.sum()) == n, name
+            assert math.isclose(plan.makespan, optimum, rel_tol=1e-9), name
+            cert = check_allocation(plan.allocation, sfs, n=n, makespan=plan.makespan)
+            assert cert.ok, (name, cert.violations)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=1, max_value=2_000_000),
+    )
+    def test_concurrent_packed_and_object_solves_are_independent(self, seed, n):
+        rng = np.random.default_rng(seed)
+        sfs = _random_exact_fleet(rng)
+        n = min(n, int(sum(min(sf.max_size, 4e6) for sf in sfs)))
+        pack = pack_speed_functions(sfs)
+        evaluators = {"packed": pack, "objects": ObjectSet(sfs)}
+        serial = {
+            name: partition_bisection(n, sfs, pack=ev)
+            for name, ev in evaluators.items()
+        }
+        barrier = threading.Barrier(len(evaluators))
+        concurrent: dict = {}
+
+        def solve(name):
+            barrier.wait()
+            for _ in range(3):
+                concurrent.setdefault(name, []).append(
+                    partition_bisection(n, sfs, pack=evaluators[name])
+                )
+
+        threads = [threading.Thread(target=solve, args=(k,)) for k in evaluators]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two solves finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert set(concurrent) == set(evaluators)
+        for name, results in concurrent.items():
+            assert len(results) == 3
+            for r in results:
+                np.testing.assert_array_equal(r.allocation, serial[name].allocation)
+                assert r.makespan == serial[name].makespan
+        # Exact-class rows: the two evaluators agree with each other too.
+        np.testing.assert_array_equal(
+            serial["packed"].allocation, serial["objects"].allocation
+        )

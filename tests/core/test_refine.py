@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from repro import ConstantSpeedFunction, InfeasiblePartitionError, makespan
-from repro.core.geometry import allocations, initial_bracket
+from repro.core.geometry import initial_bracket
 from repro.core.refine import refine_greedy, refine_paper
+from repro.core.vectorized import ObjectSet
 from tests.conftest import make_pwl
 
 
@@ -38,7 +39,7 @@ class TestRefineGreedy:
     def test_sums_to_n(self, heterogeneous_trio):
         n = 123_457
         region = initial_bracket(heterogeneous_trio, n)
-        base = allocations(heterogeneous_trio, region.upper)
+        base = ObjectSet(heterogeneous_trio).allocations(region.upper)
         alloc = refine_greedy(n, heterogeneous_trio, base)
         assert alloc.sum() == n
         assert np.all(alloc >= 0)
@@ -84,8 +85,9 @@ class TestRefinePaper:
     def test_sums_to_n(self, heterogeneous_trio):
         n = 200_001
         region = initial_bracket(heterogeneous_trio, n)
-        low = allocations(heterogeneous_trio, region.upper)
-        high = allocations(heterogeneous_trio, region.lower)
+        ev = ObjectSet(heterogeneous_trio)
+        low = ev.allocations(region.upper)
+        high = ev.allocations(region.lower)
         alloc = refine_paper(n, heterogeneous_trio, low, high)
         assert alloc.sum() == n
 
@@ -98,8 +100,9 @@ class TestRefinePaper:
         sfs = [make_pwl(100.0), make_pwl(250.0), make_pwl(40.0)]
         n = 777_777
         region = initial_bracket(sfs, n)
-        low = allocations(sfs, region.upper)
-        high = allocations(sfs, region.lower)
+        ev = ObjectSet(sfs)
+        low = ev.allocations(region.upper)
+        high = ev.allocations(region.lower)
         t_paper = makespan(sfs, refine_paper(n, sfs, low, high))
         t_greedy = makespan(sfs, refine_greedy(n, sfs, low))
         # The paper procedure selects from boundary candidates only; it may
@@ -126,25 +129,42 @@ class TestPackPathEquality:
         from repro.core.vectorized import pack_speed_functions
 
         pack = pack_speed_functions(heterogeneous_trio)
+        ev = ObjectSet(heterogeneous_trio)
         rng = np.random.default_rng(2)
         for _ in range(10):
             n = int(rng.integers(10, 30_000))
             region = initial_bracket(heterogeneous_trio, n)
-            base = allocations(heterogeneous_trio, region.upper)
+            base = ev.allocations(region.upper)
             a = refine_greedy(n, heterogeneous_trio, base)
             b = refine_greedy(n, heterogeneous_trio, base, pack=pack)
             np.testing.assert_array_equal(a, b)
+
+    def test_batched_handout_matches_heap(self, heterogeneous_trio):
+        from repro.core.refine import _handout_batched, _handout_heap, _next_heap
+
+        pack = ObjectSet(heterogeneous_trio)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            base = rng.integers(0, 400_000, size=3)
+            deficit = int(rng.integers(1, 7))
+            n = int(base.sum()) + deficit
+            bounds = pack.max_sizes
+            heap = _next_heap(base.copy(), bounds, pack)
+            want = _handout_heap(n, base.copy(), deficit, bounds, heap, pack)
+            got = _handout_batched(n, base.copy(), deficit, bounds, pack)
+            np.testing.assert_array_equal(got, want)
 
     def test_refine_paper_identical(self, heterogeneous_trio):
         from repro.core.vectorized import pack_speed_functions
 
         pack = pack_speed_functions(heterogeneous_trio)
+        ev = ObjectSet(heterogeneous_trio)
         rng = np.random.default_rng(3)
         for _ in range(10):
             n = int(rng.integers(10, 30_000))
             region = initial_bracket(heterogeneous_trio, n)
-            low = allocations(heterogeneous_trio, region.upper)
-            high = allocations(heterogeneous_trio, region.lower)
+            low = ev.allocations(region.upper)
+            high = ev.allocations(region.lower)
             a = refine_paper(n, heterogeneous_trio, low, high)
             b = refine_paper(n, heterogeneous_trio, low, high, pack=pack)
             np.testing.assert_array_equal(a, b)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import ConstantSpeedFunction, PiecewiseLinearSpeedFunction
-from repro.core.vectorized import PiecewiseLinearSet, make_allocator
+from repro.core.vectorized import ObjectSet, PiecewiseLinearSet, pack_speed_functions
 from tests.conftest import make_hump_pwl, make_increasing_pwl, make_pwl
 
 
@@ -75,21 +75,24 @@ class TestPiecewiseLinearSet:
 
 
 class TestMakeAllocator:
+    """pack_speed_functions: every fleet gets an evaluator."""
+
     def test_fast_path_for_uniform_pwl(self, functions):
-        alloc = make_allocator(functions)
-        # Bound method of a PiecewiseLinearSet.
-        assert getattr(alloc, "__self__", None).__class__ is PiecewiseLinearSet
+        assert isinstance(pack_speed_functions(functions), PiecewiseLinearSet)
 
     def test_generic_path_for_mixed_types(self):
         sfs = [make_pwl(10.0), ConstantSpeedFunction(5.0)]
-        alloc = make_allocator(sfs)
+        pack = pack_speed_functions(sfs)
         np.testing.assert_allclose(
-            alloc(1e-3), [sf.intersect_ray(1e-3) for sf in sfs]
+            pack.allocations(1e-3), [sf.intersect_ray(1e-3) for sf in sfs]
         )
 
     def test_generic_path_for_single_function(self):
-        alloc = make_allocator([make_pwl(10.0)])
-        assert alloc(1e-3)[0] == pytest.approx(make_pwl(10.0).intersect_ray(1e-3))
+        pack = pack_speed_functions([make_pwl(10.0)])
+        assert isinstance(pack, ObjectSet)
+        assert pack.allocations(1e-3)[0] == pytest.approx(
+            make_pwl(10.0).intersect_ray(1e-3)
+        )
 
     def test_algorithms_unchanged_by_fast_path(self, functions):
         from repro import partition

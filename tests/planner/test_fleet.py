@@ -12,7 +12,7 @@ from repro import (
     InvalidSpeedFunctionError,
     PiecewiseLinearSpeedFunction,
 )
-from repro.core.vectorized import PiecewiseLinearSet
+from repro.core.vectorized import ObjectSet, PiecewiseLinearSet
 
 
 def pwl(xs, ss):
@@ -61,7 +61,7 @@ class TestConstruction:
                 ),
             ]
         )
-        assert fleet.pack is None
+        assert isinstance(fleet.pack, ObjectSet)
 
     def test_capacity_sums_max_sizes(self, pwl_fleet):
         assert pwl_fleet.capacity == 1000 + 2000 + 50

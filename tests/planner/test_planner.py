@@ -24,6 +24,7 @@ from repro import (
     partition_combined,
     partition_modified,
 )
+from repro.core.vectorized import PiecewiseLinearSet
 
 
 @st.composite
@@ -189,7 +190,7 @@ class TestPlannerBehaviour:
             ]
         )
         # Constants compile, so even the classical single-number fleet packs.
-        assert fleet.pack is not None
+        assert isinstance(fleet.pack, PiecewiseLinearSet)
         planner = Planner(fleet)
         for n in (10, 321, 1234):
             cold = partition_bisection(n, fleet.speed_functions)

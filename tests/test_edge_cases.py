@@ -22,10 +22,10 @@ from tests.conftest import make_pwl
 class TestGeometryAllocatorParameter:
     def test_bracket_with_explicit_allocator(self, heterogeneous_trio):
         from repro.core.geometry import initial_bracket
-        from repro.core.vectorized import make_allocator
+        from repro.core.vectorized import pack_speed_functions
 
-        alloc = make_allocator(heterogeneous_trio)
-        with_alloc = initial_bracket(heterogeneous_trio, 500_000, allocator=alloc)
+        pack = pack_speed_functions(heterogeneous_trio)
+        with_alloc = initial_bracket(heterogeneous_trio, 500_000, pack=pack)
         without = initial_bracket(heterogeneous_trio, 500_000)
         assert with_alloc.upper == pytest.approx(without.upper)
         assert with_alloc.lower == pytest.approx(without.lower)

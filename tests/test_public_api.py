@@ -184,3 +184,22 @@ def test_supported_options_registry_matches_algorithms():
     assert set(repro.SUPPORTED_OPTIONS) == set(repro.ALGORITHMS)
     for name, supported in repro.SUPPORTED_OPTIONS.items():
         assert supported <= repro.PartitionOptions.field_names(), name
+
+
+def test_package_all_lists_are_unique_and_resolve():
+    import importlib
+
+    for module_name in (
+        "repro",
+        "repro.core",
+        "repro.planner",
+        "repro.serve",
+        "repro.cluster",
+        "repro.adapt",
+    ):
+        module = importlib.import_module(module_name)
+        names = list(module.__all__)
+        duplicates = sorted({n for n in names if names.count(n) > 1})
+        assert not duplicates, f"{module_name}.__all__ repeats {duplicates}"
+        for name in names:
+            assert hasattr(module, name), f"{module_name}.{name} does not resolve"
