@@ -47,8 +47,11 @@ bench-repo-smoke:
 # registers a fleet over the wire, bit-checks served plans against a
 # direct Planner, runs a small concurrent load, and scrapes /health and
 # /metrics.  Exits non-zero on any failure, shed request, or mismatch.
+# The second run uses process shards and a 32-entry warm tier, so the
+# manager-hosted store evicts under served traffic.
 serve-smoke:
 	$(PYTHON) -m repro.serve.smoke
+	$(PYTHON) -m repro.serve.smoke --worker-mode process --warm-tier-size 32
 
 # End-to-end cluster smoke: a router thread over two real node
 # processes — registers a fleet over the wire, bit-checks routed plans,

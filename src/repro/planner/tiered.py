@@ -6,14 +6,18 @@ process-pool respawn cold-starts every plan the fleet had already paid
 for.  This module adds the classic cache-aside second tier:
 
 * :class:`WarmPlanStore` — a flat bounded key/value store living
-  *outside* any single worker: a plain locked ``dict`` for thread pools,
-  a ``multiprocessing.Manager`` dict proxy for process pools (proxies
-  pickle, so a freshly spawned worker attaches to the same store).
+  *outside* any single worker, FIFO-evicted beyond its bound.  Thread
+  pools use a plain locked ``dict`` (:meth:`WarmPlanStore.local`).
+  Process pools host that same local store inside a
+  :class:`WarmStoreManager` server process and talk to it through a
+  proxy (:meth:`WarmPlanStore.shared`): every store operation is one
+  IPC round trip, the lock is taken inside the server, and the proxy
+  pickles, so a freshly spawned worker attaches to the same store.
 * :class:`TieredPlanCache` — a drop-in :class:`PlanCache` subclass doing
-  **read-through** (an L1 miss consults the store and promotes the hit
-  back into the LRU) and **write-behind** (inserts are mirrored to the
-  store from a background writer thread, so the solve path never waits
-  on cross-process IPC).
+  **read-through** (an L1 miss consults the store — one round trip in
+  process pools — and promotes the hit back into the LRU) and
+  **write-behind** (inserts are mirrored to the store from a background
+  writer thread, so a solve never waits on a store *write*).
 
 Plans are pure functions of ``(fingerprint, n, algorithm, refine,
 mode)`` — the :class:`~repro.planner.planner.Planner` key — so sharing
@@ -32,6 +36,7 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import replace
+from multiprocessing.managers import BaseManager, BaseProxy
 from typing import Any, Hashable
 
 from .. import obs
@@ -40,23 +45,34 @@ from .cache import PlanCache
 
 __all__ = ["TieredPlanCache", "WarmPlanStore"]
 
-#: Default bound on warm-store entries (approximate FIFO beyond it).
+#: Default bound on warm-store entries (FIFO beyond it).
 _DEFAULT_STORE_SIZE = 4096
 
 #: Bound on queued write-behind mirrors; beyond it writes are dropped
 #: (and counted) rather than ever blocking a solve.
 _WRITE_QUEUE_DEPTH = 512
 
+#: What a proxy call raises once its manager has shut down: a closed or
+#: reset connection (``ConnectionError`` covers ``BrokenPipeError``) or
+#: the removed Unix socket of a fresh connection attempt.
+_MANAGER_GONE = (EOFError, ConnectionError, FileNotFoundError)
+
 
 class WarmPlanStore:
     """Bounded key/value plan store shared by every shard of a pool.
 
-    ``mapping`` and ``lock`` are injected so one class covers both
-    deployments: :meth:`local` (thread pools — plain dict) and
-    :meth:`shared` (process pools — ``Manager`` proxies, picklable into
-    spawned workers).  Eviction beyond ``maxsize`` is approximate FIFO:
-    the store is a longevity tier, not a recency tier, and FIFO needs no
-    per-read bookkeeping across process boundaries.
+    :meth:`local` is a plain dict behind a ``threading.Lock`` (thread
+    pools).  :meth:`shared` hosts exactly such a local store inside a
+    :class:`WarmStoreManager` and returns a picklable proxy to it
+    (process pools), so each operation is one round trip and the lock is
+    only ever taken inside the server.  ``mapping`` and ``lock`` stay
+    injectable for callers that bring their own (any insertion-ordered
+    mapping and context-manager lock).
+
+    Eviction beyond ``maxsize`` is FIFO in insertion order: the store is
+    a longevity tier, not a recency tier, and FIFO needs no per-read
+    bookkeeping.  Re-putting a stored key keeps its place and evicts
+    nothing.
     """
 
     def __init__(self, mapping, lock, *, maxsize: int = _DEFAULT_STORE_SIZE):
@@ -72,35 +88,28 @@ class WarmPlanStore:
         return cls({}, threading.Lock(), maxsize=maxsize)
 
     @classmethod
-    def shared(cls, manager, maxsize: int = _DEFAULT_STORE_SIZE) -> "WarmPlanStore":
-        """Cross-process store over a ``multiprocessing`` manager."""
-        return cls(manager.dict(), manager.Lock(), maxsize=maxsize)
+    def shared(
+        cls, manager: "WarmStoreManager", maxsize: int = _DEFAULT_STORE_SIZE
+    ) -> "_HostedStoreProxy":
+        """Cross-process store hosted in a started :class:`WarmStoreManager`."""
+        store = manager.WarmPlanStore(maxsize)
+        store._maxsize = int(maxsize)
+        return store
 
     def get(self, key: Hashable) -> Any | None:
         with self._lock:
-            try:
-                return self._data.get(key)
-            except (EOFError, BrokenPipeError, ConnectionError):
-                return None  # manager already gone (teardown race)
+            return self._data.get(key)
 
     def keys(self) -> list:
         """A snapshot of the stored keys (diagnostics and tests)."""
         with self._lock:
-            try:
-                return list(self._data.keys())
-            except (EOFError, BrokenPipeError, ConnectionError):
-                return []
+            return list(self._data.keys())
 
     def put(self, key: Hashable, value: Any) -> None:
-        try:
-            with self._lock:
-                if key not in self._data and len(self._data) >= self._maxsize:
-                    for doomed in self._data.keys():
-                        del self._data[doomed]
-                        break
-                self._data[key] = value
-        except (EOFError, BrokenPipeError, ConnectionError):
-            pass
+        with self._lock:
+            if key not in self._data and len(self._data) >= self._maxsize:
+                del self._data[next(iter(self._data))]
+            self._data[key] = value
 
     def invalidate(self, fingerprint: Hashable) -> int:
         """Drop exactly one fingerprint's entries; return the count."""
@@ -120,15 +129,76 @@ class WarmPlanStore:
             self._data.clear()
 
     def __len__(self) -> int:
-        try:
-            with self._lock:
-                return len(self._data)
-        except (EOFError, BrokenPipeError, ConnectionError):
-            return 0
+        with self._lock:
+            return len(self._data)
 
     @property
     def maxsize(self) -> int:
         return self._maxsize
+
+
+class _HostedStoreProxy(BaseProxy):
+    """Client side of a :class:`WarmPlanStore` hosted in a manager.
+
+    Each method is one ``_callmethod`` round trip; ``maxsize`` is kept
+    here so reading it costs none.  Once the manager has shut down (a
+    pool closing under a late reader), every method answers a miss,
+    ``0`` or ``[]`` instead of raising.
+    """
+
+    _exposed_ = ("get", "put", "invalidate", "clear", "keys", "__len__")
+
+    def __init__(self, *args, maxsize: int = _DEFAULT_STORE_SIZE, **kwds):
+        super().__init__(*args, **kwds)
+        self._maxsize = int(maxsize)
+
+    def __reduce__(self):
+        # Carry the client-side bound into spawned workers' copies.
+        rebuild, (proxytype, token, serializer, kwds) = super().__reduce__()
+        return rebuild, (proxytype, token, serializer, {**kwds, "maxsize": self._maxsize})
+
+    def _call(self, method: str, args: tuple, gone: Any) -> Any:
+        try:
+            return self._callmethod(method, args)
+        except _MANAGER_GONE:
+            return gone
+
+    def get(self, key: Hashable) -> Any | None:
+        return self._call("get", (key,), None)
+
+    def keys(self) -> list:
+        return self._call("keys", (), [])
+
+    def put(self, key: Hashable, value: Any) -> None:
+        self._call("put", (key, value), None)
+
+    def invalidate(self, fingerprint: Hashable) -> int:
+        return self._call("invalidate", (fingerprint,), 0)
+
+    def clear(self) -> None:
+        self._call("clear", (), None)
+
+    def __len__(self) -> int:
+        return self._call("__len__", (), 0)
+
+    @property
+    def maxsize(self) -> int:
+        return self._maxsize
+
+
+class WarmStoreManager(BaseManager):
+    """A manager server hosting :class:`WarmPlanStore` objects.
+
+    ``manager.WarmPlanStore(maxsize)`` builds a :meth:`WarmPlanStore.local`
+    store inside the server process and returns its proxy;
+    :meth:`WarmPlanStore.shared` is the form that also records the bound
+    on the proxy.
+    """
+
+
+WarmStoreManager.register(
+    "WarmPlanStore", WarmPlanStore.local, proxytype=_HostedStoreProxy
+)
 
 
 #: Writer-queue control messages.

@@ -34,11 +34,13 @@ queued job, and joins them — in-flight work completes, nothing is lost.
 
 Two durability features ride on the same structure:
 
-* a pool-wide :class:`~repro.planner.tiered.WarmPlanStore` (a plain
-  locked dict for thread pools, ``multiprocessing.Manager`` proxies for
-  process pools) backs every shard planner's
-  :class:`~repro.planner.tiered.TieredPlanCache`, so plans survive the
-  workers that solved them;
+* a pool-wide :class:`~repro.planner.tiered.WarmPlanStore` backs every
+  shard planner's :class:`~repro.planner.tiered.TieredPlanCache`, so
+  plans survive the workers that solved them.  Thread pools keep it as
+  a plain locked dict; process pools host it in a
+  :class:`~repro.planner.tiered.WarmStoreManager` server the pool
+  starts, and workers reach it through a proxy at one round trip per
+  store operation;
 * :meth:`ShardPool.restart_shard` recycles one worker in place — an
   urgent exit marker overtakes the queued backlog, the replacement
   re-registers the shard's fleet specs and drains the *same* inbox, and
@@ -61,7 +63,7 @@ from .. import obs
 from ..exceptions import ConfigurationError
 from ..obs.context import new_span_id
 from ..obs.spans import Span
-from ..planner.tiered import TieredPlanCache, WarmPlanStore
+from ..planner.tiered import TieredPlanCache, WarmPlanStore, WarmStoreManager
 from .hashring import HashRing
 from .protocol import error_code_for, speed_functions_from_fleet_spec
 from .tenancy import CONTROL_TENANT, WFQueue
@@ -543,7 +545,8 @@ class ShardPool:
             ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
             self._ctx = ctx
             if warm_tier:
-                self._manager = ctx.Manager()
+                self._manager = WarmStoreManager(ctx=ctx)
+                self._manager.start()
                 self._warm = WarmPlanStore.shared(self._manager, warm_tier_size)
             else:
                 self._warm = None

@@ -1,13 +1,16 @@
 """End-to-end smoke: boot a server, fire mixed traffic, assert no errors.
 
 ``make serve-smoke`` runs this module (``python -m repro.serve.smoke``).
-It boots a real server (TCP + HTTP listeners, threaded shards) on
-ephemeral ports, registers the testbed fleet over the wire, fires a mix
-of ``plan`` / ``plan_many`` / ``health`` / ``stats`` requests both
-through the blocking client and the concurrent load generator, checks
-every response against a directly computed plan *and* against the
-independent optimality certificate (:mod:`repro.verify.certificate`),
-scrapes ``/metrics``, and drains.  Exit code 0 means zero errors and
+It boots a real server (TCP + HTTP listeners, thread or process shards
+per ``--worker-mode``) on ephemeral ports, registers the testbed fleet
+over the wire, fires a mix of ``plan`` / ``plan_many`` / ``health`` /
+``stats`` requests both through the blocking client and the concurrent
+load generator, checks every response against a directly computed plan
+*and* against the independent optimality certificate
+(:mod:`repro.verify.certificate`), scrapes ``/metrics``, and drains.
+With ``--warm-tier-size N`` it also serves ``2N`` fresh sizes through
+the ``N``-entry warm plan store, checking each plan the same way and
+that the store ends exactly full.  Exit code 0 means zero errors and
 zero shed requests.
 """
 
@@ -17,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import time
 import urllib.request
 
 import numpy as np
@@ -36,6 +40,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--concurrency", type=int, default=8)
     parser.add_argument("--p", type=int, default=24)
     parser.add_argument("--shards", type=int, default=2)
+    parser.add_argument("--worker-mode", choices=("thread", "process"), default="thread")
+    parser.add_argument(
+        "--warm-tier-size", type=int, default=None,
+        help="bound the shard pool's warm plan store, and serve twice that "
+        "many distinct sizes so the store evicts under served traffic",
+    )
     parser.add_argument(
         "--flight-dump", default=os.environ.get("REPRO_FLIGHT_DUMP", ""),
         help="on failure, dump the flight recorder's traces to this NDJSON "
@@ -49,11 +59,15 @@ def main(argv: list[str] | None = None) -> int:
     fleet = Fleet(sfs, name=f"smoke-p{args.p}")
     reference = Planner(fleet)
 
-    config = ServeConfig(shards=args.shards, http_port=0, batch_window=0.001)
+    bound = {} if args.warm_tier_size is None else {"warm_tier_size": args.warm_tier_size}
+    config = ServeConfig(
+        shards=args.shards, worker_mode=args.worker_mode, http_port=0,
+        batch_window=0.001, **bound,
+    )
     failures = 0
     with start_in_thread(config) as handle:
         print(f"serve-smoke: listening on {handle.host}:{handle.port} "
-              f"(http {handle.http_port})")
+              f"(http {handle.http_port}, {args.worker_mode} workers)")
         with ServeClient(handle.host, handle.port) as client:
             info = client.register_fleet(sfs, name=fleet.name)
             fingerprint = info["fingerprint"]
@@ -65,20 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             rng = np.random.default_rng(0)
             sizes = [int(n) for n in rng.integers(1e5, int(fleet.capacity), 16)]
             for n in sizes[:4]:
-                got = client.plan(fingerprint, n)
-                want = reference.plan(n)
-                if got["makespan"] != float(want.makespan) or got[
-                    "allocation"
-                ] != [int(x) for x in want.allocation]:
-                    print(f"FAIL: plan({n}) differs from the direct planner")
-                    failures += 1
-                # Independent optimality certificate for every served plan.
-                cert = check_allocation(
-                    got["allocation"], sfs, n=n, makespan=got["makespan"]
-                )
-                if not cert.ok:
-                    print(f"FAIL: plan({n}) certificate: {cert.summary()}")
-                    failures += 1
+                failures += _check_plan(client.plan(fingerprint, n), n, reference, sfs)
             batch = client.plan_many(fingerprint, sizes)
             bad = [item for item in batch if not item.get("ok")]
             if bad:
@@ -107,6 +108,11 @@ def main(argv: list[str] | None = None) -> int:
             if report.error_count or report.ok != args.requests:
                 print("FAIL: load run saw errors or missing responses")
                 failures += 1
+
+            if args.warm_tier_size is not None:
+                failures += _overflow_warm_tier(
+                    client, fingerprint, sfs, reference, args.warm_tier_size
+                )
 
             stats = client.stats()
             if stats["shed"] != 0:
@@ -165,6 +171,54 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print("serve-smoke: OK (zero errors, zero shed, drained cleanly)")
     return 0
+
+
+def _check_plan(item: dict, n: int, reference, sfs) -> int:
+    """Failed checks (0-2) of one served plan: bit-identity to the direct
+    planner, and the independent optimality certificate."""
+    if not item.get("ok"):
+        print(f"FAIL: plan({n}) returned an error: {item}")
+        return 1
+    failures = 0
+    want = reference.plan(n)
+    if item["makespan"] != float(want.makespan) or item["allocation"] != [
+        int(x) for x in want.allocation
+    ]:
+        print(f"FAIL: plan({n}) differs from the direct planner")
+        failures += 1
+    cert = check_allocation(item["allocation"], sfs, n=n, makespan=item["makespan"])
+    if not cert.ok:
+        print(f"FAIL: plan({n}) certificate: {cert.summary()}")
+        failures += 1
+    return failures
+
+
+def _overflow_warm_tier(client, fingerprint, sfs, reference, bound: int) -> int:
+    """Serve ``2 * bound`` fresh sizes through a ``bound``-entry warm tier.
+
+    Every plan is checked by :func:`_check_plan` while the store evicts;
+    once the write-behind mirrors have landed, the store must hold
+    exactly ``bound`` entries.  Returns the number of failed checks.
+    """
+    failures = 0
+    rng = np.random.default_rng(1)
+    sizes = sorted({int(n) for n in rng.integers(1e5, int(reference.fleet.capacity), 2 * bound)})
+    for start in range(0, len(sizes), 16):
+        chunk = sizes[start:start + 16]
+        for n, item in zip(chunk, client.plan_many(fingerprint, chunk)):
+            failures += _check_plan(item, n, reference, sfs)
+    entries, deadline = -1, time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        entries = client.stats()["tenancy"]["warm_tier"]["entries"]
+        if entries >= bound:
+            break
+        time.sleep(0.05)
+    print(f"serve-smoke: {len(sizes)} fresh sizes through a {bound}-entry "
+          f"warm tier -> {entries} entries")
+    if entries != bound:
+        print(f"FAIL: warm tier holds {entries} entries, expected its bound {bound}")
+        failures += 1
+    return failures
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,7 +1,7 @@
 """Process-mode member nodes: start-up, a served plan, start-up errors, kill.
 
 A node child runs a process-mode shard pool of its own (worker processes
-plus a ``multiprocessing.Manager`` for the warm tier), so its start-up
+plus the ``WarmStoreManager`` process hosting the warm tier), so its start-up
 must work from inside a node process, a failure there must reach the
 caller as a readable :class:`RuntimeError` rather than a bare pipe EOF,
 and a SIGKILL of the node must not leave those processes behind.

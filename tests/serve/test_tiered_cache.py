@@ -11,10 +11,18 @@ pool-wide :class:`~repro.planner.tiered.WarmPlanStore` (L2, write-behind)
   plans and nothing of a sibling fleet's;
 * the write-behind queue never resurrects an invalidated plan;
 * stripped values: the heavy warm-start ``region`` never crosses into
-  the shared store.
+  the shared store;
+* the store's FIFO bound, in-process and hosted in a process pool's
+  manager, also under racing writers, and the hosted store's one round
+  trip per operation;
+* a closed pool's store answers misses instead of raising.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+from multiprocessing.managers import BaseProxy
 
 import pytest
 
@@ -203,6 +211,144 @@ def test_warm_plans_stay_bit_identical_to_cold_bisection(pair_specs):
             assert item["makespan"] == cold.makespan, n
     finally:
         pool.close()
+
+
+@pytest.fixture(params=["local", "hosted"])
+def bounded_store(request):
+    """A 4-entry store: in-process, or hosted by a process pool's manager."""
+    if request.param == "local":
+        yield WarmPlanStore.local(4)
+        return
+    pool = ShardPool(1, mode="process", warm_tier_size=4)
+    try:
+        yield pool.warm_store
+    finally:
+        pool.close()
+
+
+def test_put_past_the_bound_evicts_exactly_the_oldest_key(bounded_store):
+    keys = [("fp", n) for n in range(6)]
+    for key in keys[:4]:
+        bounded_store.put(key, key[1])
+    bounded_store.put(keys[4], 4)
+    assert bounded_store.keys() == keys[1:5]
+    bounded_store.put(keys[5], 5)
+    assert bounded_store.keys() == keys[2:6]
+    assert bounded_store.get(keys[0]) is None
+    assert bounded_store.get(keys[5]) == 5
+    assert len(bounded_store) == bounded_store.maxsize == 4
+
+
+def test_reput_of_a_stored_key_evicts_nothing(bounded_store):
+    keys = [("fp", n) for n in range(5)]
+    for key in keys[:4]:
+        bounded_store.put(key, key[1])
+    bounded_store.put(keys[0], "again")
+    assert bounded_store.keys() == keys[:4]
+    assert bounded_store.get(keys[0]) == "again"
+    # The re-put kept its FIFO place: the next new key evicts it.
+    bounded_store.put(keys[4], 4)
+    assert bounded_store.keys() == keys[1:5]
+
+
+def test_store_invalidate_is_exact_across_sibling_fingerprints(bounded_store):
+    for key in [("a", 1), ("b", 1), ("a", 2), ("ab", 3)]:
+        bounded_store.put(key, key[1])
+    assert bounded_store.invalidate("a") == 2
+    assert bounded_store.keys() == [("b", 1), ("ab", 3)]
+    assert bounded_store.invalidate("a") == 0
+
+
+class _PyHashKey(tuple):
+    """A tuple key hashed in Python code, so a thread switch can land
+    between a put's choice of the oldest key and its ``del``."""
+
+    def __hash__(self):
+        return tuple.__hash__(self)
+
+
+def test_concurrent_puts_keep_the_bound_and_each_writers_fifo(bounded_store):
+    """Eight writers race puts of distinct keys into the 4-entry store.
+
+    A lost update in the check-then-evict step would leave the store over
+    or under its bound, or fail a writer's ``del`` of an already-evicted
+    key; FIFO means the keys that survive from any one writer are the
+    last ones it put.
+    """
+    writers, per_writer = 8, 1000
+    finished = []
+
+    def write(w):
+        for i in range(per_writer):
+            bounded_store.put(_PyHashKey((w, i)), i)
+        finished.append(w)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert sorted(finished) == list(range(writers))
+    keys = bounded_store.keys()
+    assert len(bounded_store) == len(keys) == len(set(keys)) == bounded_store.maxsize
+    for w in range(writers):
+        kept = sorted(i for writer, i in keys if writer == w)
+        assert kept == list(range(per_writer - len(kept), per_writer)), (w, keys)
+
+
+def test_hosted_store_operations_are_one_round_trip_each(monkeypatch):
+    """A read and a full-store put each cost one proxy call, no key copy."""
+    pool = ShardPool(1, mode="process", warm_tier_size=4)
+    try:
+        store = pool.warm_store
+        for n in range(4):
+            store.put(("fp", n), n)
+        calls = []
+        callmethod = BaseProxy._callmethod
+
+        def counting(self, methodname, args=(), kwds={}):
+            calls.append(methodname)
+            return callmethod(self, methodname, args, kwds)
+
+        monkeypatch.setattr(BaseProxy, "_callmethod", counting)
+        assert store.get(("fp", 3)) == 3
+        assert len(calls) == 1, calls
+        calls.clear()
+        store.put(("fp", 4), 4)  # full: evicts ("fp", 0)
+        assert len(calls) == 1, calls
+        monkeypatch.undo()
+        assert store.get(("fp", 0)) is None
+    finally:
+        pool.close()
+
+
+def test_closed_pool_store_answers_misses():
+    """Teardown race: reads after the pool's manager shut down never raise."""
+    pool = ShardPool(1, mode="process")
+    store = pool.warm_store
+    key = ("fp", 1)
+    store.put(key, 1)
+    assert store.get(key) == 1  # this thread now holds a connection
+    pool.close()
+    assert store.get(key) is None
+    assert len(store) == 0
+    assert store.invalidate("fp") == 0
+    assert store.keys() == []
+    store.put(key, 2)
+    store.clear()
+    # A thread that never connected fails at connect time instead.
+    seen = []
+    reader = threading.Thread(target=lambda: seen.append((store.get(key), len(store))))
+    reader.start()
+    reader.join(10)
+    assert not reader.is_alive()
+    assert seen == [(None, 0)]
 
 
 def test_warm_tier_disabled_still_serves(pair_specs):
