@@ -186,9 +186,7 @@ class DriftDetector:
         :meth:`repro.obs.FleetTelemetrySink.recent` returns, the bridge
         from live serving telemetry to drift confirmation.  Anything
         observation-shaped (``machine`` / ``size`` / ``speed`` /
-        ``time`` attributes) is accepted, so the legacy
-        :class:`~repro.obs.sink.StepObservation` tuples from
-        ``recent_steps`` keep working.  Observations for machines this
+        ``time`` attributes) is accepted.  Observations for machines this
         detector does not know are skipped (a sink may aggregate a
         larger fleet than one detector watches — and fleet-level
         ``machine == -1`` solve records skip automatically); malformed

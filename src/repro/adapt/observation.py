@@ -9,12 +9,12 @@ module gives it its documented home in the adaptive API
 :meth:`repro.adapt.DriftDetector.ingest` and
 :class:`repro.model.OnlineBandRefitter`.
 
-The older per-consumer shapes remain as thin adapters with deprecation
-notes: :class:`repro.obs.StepObservation` (and
-``FleetTelemetrySink.recent_steps`` / ``observe_step`` /
-``observe_solve``) for telemetry, and bare ``(machine, size, speed,
-time)`` attribute bags for :meth:`DriftDetector.ingest`, which accepts
-anything observation-shaped.
+Two thin adapters build it for older call sites:
+``FleetTelemetrySink.observe_step`` / ``observe_solve`` take keyword
+timings, and :meth:`Observation.from_step` takes the positional
+``(machine, size, speed)`` shape.  :meth:`DriftDetector.ingest` also
+accepts any other object with ``machine`` / ``size`` / ``speed`` /
+``time`` attributes.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """The cluster router: protocol-v1 front-end over N planner nodes.
 
-:class:`RouterService` is to the cluster what
-:class:`~repro.serve.service.PlanningService` is to one process: the
-transport-agnostic handler behind the listeners.  It deliberately
-implements the same surface (``start`` / ``drain`` / ``handle`` /
-``health`` / ``stats`` / ``recorder``), so the existing
-:class:`~repro.serve.server.PlanServer` — TCP framing, HTTP routes,
-``/metrics``, ``/debug/traces`` — wraps it unchanged; a router *is* a
-plan server whose service forwards instead of solves.
+:class:`RouterService` is the :class:`~repro.serve.frontend.FrontEnd`
+whose backend is a remote node set; the planning service is the same
+front-end over a local shard pool.  Parsing, tracing, the envelope,
+latency histograms, the flight recorder and response counters are the
+shared pipeline, and the same :class:`~repro.serve.server.PlanServer`
+(TCP framing, HTTP routes, ``/metrics``, ``/debug/traces``) wraps both.
+What the router adds is where an answer comes from, plus the
+``cluster_status`` / ``cluster_join`` / ``cluster_leave`` admin ops it
+answers itself.
 
 Routing: every data-path request names a fleet fingerprint, and the
 fingerprint's replica set (primary first, then ring successors, via
@@ -47,25 +48,20 @@ from typing import Any, Mapping, Sequence
 from .. import obs
 from ..exceptions import ConfigurationError
 from ..obs.context import TraceContext
-from ..obs.flight import FlightRecorder, RequestTrace
 from ..obs.spans import Span
 from ..planner import Fleet
+from ..serve.frontend import FrontEnd, FrontEndConfig
 from ..serve.protocol import (
     HealthRequest,
     ObserveRequest,
-    PlanManyRequest,
     PlanRequest,
     ProtocolError,
     RegisterFleetRequest,
     StatsRequest,
-    error_code_for,
-    error_response,
-    fleet_spec_from_speed_functions,
-    ok_response,
-    parse_request,
+    plan_fields,
     speed_functions_from_fleet_spec,
 )
-from ..serve.service import ServeConfig
+from ..serve.server import ServerHandle, run_in_thread
 from .breaker import CLOSED, BreakerConfig, CircuitBreaker
 from .membership import ClusterMembership, NodeInfo
 from .pool import NodeBusy, NodeLink, NodeUnavailable
@@ -79,20 +75,18 @@ logger = logging.getLogger(__name__)
 #: idempotent appends), so retrying on another node is always safe.
 RETRYABLE_CODES = frozenset({"overloaded", "shutting_down", "unknown_fleet"})
 
-#: Admin operations the router answers itself (never forwarded; plain
-#: nodes reject them with ``unknown_op``, which is exactly right).
-_ADMIN_OPS = frozenset({"cluster_status", "cluster_join", "cluster_leave"})
-
 
 @dataclass(frozen=True)
-class RouterConfig:
+class RouterConfig(FrontEndConfig):
     """Tuning knobs for the cluster router (see ``docs/cluster.md``).
+
+    The router's own listener addresses and its tracing and
+    flight-recorder bounds (``host``, ``port``, ``http_port``,
+    ``tracing``, ``flight_*``) are inherited from
+    :class:`~repro.serve.frontend.FrontEndConfig`.
 
     Attributes
     ----------
-    host / port / http_port:
-        The router's own listener addresses (same semantics as
-        :class:`~repro.serve.ServeConfig`).
     replication:
         Replica-set size N: each fleet is registered on its primary and
         the next N−1 distinct ring successors, and requests fall back
@@ -109,16 +103,10 @@ class RouterConfig:
         disables probing — tests drive breakers directly).
     breaker:
         Per-node circuit-breaker thresholds.
-    tracing / flight_capacity / flight_retain / flight_slow_k:
-        Router-side request tracing and flight-recorder bounds, as in
-        :class:`~repro.serve.ServeConfig`.
     ring_replicas:
         Virtual points per node on the consistent-hash ring.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 0
-    http_port: int | None = None
     replication: int = 2
     connections: int = 2
     max_concurrency: int = 64
@@ -126,10 +114,6 @@ class RouterConfig:
     attempt_timeout: float = 30.0
     probe_interval: float = 0.25
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    tracing: bool = True
-    flight_capacity: int = 256
-    flight_retain: int = 1024
-    flight_slow_k: int = 16
     ring_replicas: int = 64
 
     def __post_init__(self) -> None:
@@ -143,11 +127,7 @@ class RouterConfig:
             )
 
 
-def _item_error(code: str, message: str) -> dict:
-    return {"ok": False, "code": code, "message": message}
-
-
-class RouterService:
+class RouterService(FrontEnd):
     """The routing service behind a cluster front-end (see module notes).
 
     Construct with the seed member nodes, then hand to
@@ -156,16 +136,16 @@ class RouterService:
     :class:`~repro.serve.service.PlanningService`.
     """
 
+    prefix = "cluster"
+    traced_ops = frozenset({"plan", "plan_many", "observe"})
+    #: Admin operations the router answers itself (never forwarded; plain
+    #: nodes reject them with ``unknown_op``, which is exactly right).
+    admin_ops = frozenset({"cluster_status", "cluster_join", "cluster_leave"})
+
     def __init__(
         self, config: RouterConfig | None = None, nodes: Sequence[NodeInfo] = ()
     ):
-        self._config = config or RouterConfig()
-        self._serve_config = ServeConfig(
-            host=self._config.host,
-            port=self._config.port,
-            http_port=self._config.http_port,
-            tracing=self._config.tracing,
-        )
+        super().__init__(config or RouterConfig())
         self._membership = ClusterMembership(
             replication=self._config.replication,
             ring_replicas=self._config.ring_replicas,
@@ -176,19 +156,9 @@ class RouterService:
         self._down: set[str] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._probe_task: asyncio.Task | None = None
-        self._draining = False
         self._started_at = time.time()
-        self._tracing = bool(self._config.tracing)
-        self._recorder = FlightRecorder(
-            self._config.flight_capacity,
-            retain_capacity=self._config.flight_retain,
-            slow_k=self._config.flight_slow_k,
-        )
 
         registry = obs.get_registry()
-        self._requests = registry.counter(
-            "cluster.requests", help="requests received by the router"
-        )
         self._route_primary = registry.counter(
             "cluster.route.primary",
             help="data-path requests answered by the fleet's primary node",
@@ -211,35 +181,8 @@ class RouterService:
         self._nodes_gauge = registry.gauge(
             "cluster.nodes", help="current member node count"
         )
-        self._latency = {
-            op: registry.histogram(
-                "cluster.request.seconds",
-                labels={"op": op},
-                help="router latency per request, by operation",
-            )
-            for op in (
-                "plan", "plan_many", "register_fleet", "observe", "health",
-                "stats", "admin", "invalid",
-            )
-        }
 
-    # -- service surface (what PlanServer needs) -------------------------
-    @property
-    def config(self) -> ServeConfig:
-        return self._serve_config
-
-    @property
-    def router_config(self) -> RouterConfig:
-        return self._config
-
-    @property
-    def recorder(self) -> FlightRecorder:
-        return self._recorder
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
+    # -- lifecycle -------------------------------------------------------
     @property
     def membership(self) -> ClusterMembership:
         return self._membership
@@ -567,15 +510,7 @@ class RouterService:
         """Validate, fingerprint, and register a fleet on its replica set."""
         if self._draining:
             raise ProtocolError("shutting_down", "the router is draining")
-        spec = fleet_spec_from_speed_functions(
-            speed_functions_from_fleet_spec(
-                {"speed_functions": request.speed_functions}
-            ),
-            name=request.name,
-            algorithm=request.algorithm,
-            options=request.options,
-            cache_size=request.cache_size,
-        )
+        spec = request.spec()
         fleet = Fleet(
             speed_functions_from_fleet_spec(spec), name=spec.get("name") or None
         )
@@ -666,212 +601,89 @@ class RouterService:
             "nodes": per_node,
         }
 
-    # -- admin ops -------------------------------------------------------
-    async def _handle_admin(self, raw: Mapping) -> dict:
-        op = raw["op"]
-        req_id = raw.get("id")
-        try:
-            if op == "cluster_status":
-                doc = self._membership.status()
-                doc["router"] = self.health()
-                return ok_response(req_id, doc)
-            if op == "cluster_join":
-                host = raw.get("host")
-                port = raw.get("port")
-                if not isinstance(host, str) or not host:
-                    raise ProtocolError(
-                        "invalid_request", "cluster_join needs a 'host' string"
-                    )
-                if isinstance(port, bool) or not isinstance(port, int) or port <= 0:
-                    raise ProtocolError(
-                        "invalid_request", "cluster_join needs a positive 'port'"
-                    )
-                http_port = raw.get("http_port")
-                if http_port is not None and (
-                    isinstance(http_port, bool) or not isinstance(http_port, int)
-                ):
-                    raise ProtocolError(
-                        "invalid_request", "http_port must be an integer or null"
-                    )
-                return ok_response(req_id, await self.join(host, port, http_port))
-            assert op == "cluster_leave"
-            node_id = raw.get("node")
-            if not isinstance(node_id, str) or not node_id:
-                raise ProtocolError(
-                    "invalid_request", "cluster_leave needs a 'node' id string"
-                )
-            return ok_response(req_id, await self.leave(node_id))
-        except ProtocolError as exc:
-            return error_response(req_id, exc.code, str(exc))
-        except Exception as exc:  # noqa: BLE001 - the envelope must not leak
-            logger.exception("cluster admin op failed")
-            return error_response(req_id, error_code_for(exc), str(exc))
-
-    # -- tracing ---------------------------------------------------------
-    def _open_trace(
-        self, client: TraceContext | None, name: str, **attrs: Any
-    ) -> tuple[TraceContext | None, Span | None]:
-        if not self._tracing:
-            self._recorder.note_sampled()
-            return client, None
-        ctx = client.child() if client is not None else TraceContext.new()
-        root = Span(
-            name=name,
-            attrs=attrs,
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-            parent_id=ctx.parent_id or "",
-            started=time.time(),
-        )
-        return ctx, root
-
-    def _close_trace(
-        self,
-        root: Span,
-        op: str,
-        status: str,
-        fleet: str,
-        n: int | None,
-        started_wall: float,
-        seconds: float,
-    ) -> None:
-        root.seconds = seconds
-        if status != "ok":
-            root.status = "error"
-            root.attrs["code"] = status
-        self._recorder.record(
-            RequestTrace(
-                trace_id=root.trace_id,
-                op=op,
-                status=status,
-                fleet=fleet,
-                n=n,
-                started=started_wall,
-                seconds=seconds,
-                root=root,
-            )
-        )
-
     # -- protocol dispatch -----------------------------------------------
-    async def handle(self, raw: Any) -> dict:
-        """One decoded frame in, one response dict out (never raises)."""
-        self._requests.inc()
-        req_id = raw.get("id") if isinstance(raw, Mapping) else None
-        started = time.perf_counter()
-        started_wall = time.time()
-        op = "invalid"
-        status = "ok"
-        fleet, size = "", None
-        trace_id: str | None = None
-        root: Span | None = None
-        try:
-            if isinstance(raw, Mapping) and raw.get("op") in _ADMIN_OPS:
-                op = "admin"
-                response = await self._handle_admin(raw)
-                if not response["ok"]:
-                    status = response["error"]["code"]
-                return response
-            request = parse_request(raw)
-            op = request.op
-            if self._draining and not isinstance(
-                request, (HealthRequest, StatsRequest)
+    async def _admin(self, raw: Mapping) -> dict:
+        """Answer a ``cluster_*`` admin frame (FrontEnd hook)."""
+        op = raw["op"]
+        if op == "cluster_status":
+            doc = self._membership.status()
+            doc["router"] = self.health()
+            return doc
+        if op == "cluster_join":
+            host = raw.get("host")
+            port = raw.get("port")
+            if not isinstance(host, str) or not host:
+                raise ProtocolError(
+                    "invalid_request", "cluster_join needs a 'host' string"
+                )
+            if isinstance(port, bool) or not isinstance(port, int) or port <= 0:
+                raise ProtocolError(
+                    "invalid_request", "cluster_join needs a positive 'port'"
+                )
+            http_port = raw.get("http_port")
+            if http_port is not None and (
+                isinstance(http_port, bool) or not isinstance(http_port, int)
             ):
-                raise ProtocolError("shutting_down", "the router is draining")
-            if isinstance(request, (PlanRequest, PlanManyRequest, ObserveRequest)):
-                fleet = request.fleet
-                if not self._membership.knows_fleet(fleet):
-                    raise ProtocolError(
-                        "unknown_fleet",
-                        f"fleet {fleet!r} is not registered on this cluster",
-                    )
-                if isinstance(request, PlanRequest):
-                    size = request.n
-                    ctx, root = self._open_trace(
-                        request.trace, "cluster.plan", n=request.n
-                    )
-                    fields: dict[str, Any] = {
-                        "fleet": fleet, "n": request.n,
-                        "allocation": request.allocation,
-                    }
-                    # Tenancy and idempotency ride through verbatim: the
-                    # node applies quotas/fair queueing per tenant, and a
-                    # replica-walk retry carrying the same idempotency
-                    # key dedups against the node's window.
-                    if request.tenant:
-                        fields["tenant"] = request.tenant
-                    if request.idempotency_key is not None:
-                        fields["idempotency_key"] = request.idempotency_key
-                    timeout_ms = request.timeout_ms
-                elif isinstance(request, PlanManyRequest):
-                    ctx, root = self._open_trace(
-                        request.trace, "cluster.plan_many", count=len(request.ns)
-                    )
-                    fields = {
-                        "fleet": fleet, "ns": list(request.ns),
-                        "allocation": request.allocation,
-                    }
-                    if request.tenant:
-                        fields["tenant"] = request.tenant
-                    if request.idempotency_key is not None:
-                        fields["idempotency_key"] = request.idempotency_key
-                    timeout_ms = request.timeout_ms
-                else:
-                    ctx, root = self._open_trace(
-                        None, "cluster.observe", count=len(request.observations)
-                    )
-                    fields = {
-                        "fleet": fleet,
-                        "observations": [dict(o) for o in request.observations],
-                    }
-                    timeout_ms = None
-                if timeout_ms is not None:
-                    fields["timeout_ms"] = timeout_ms
-                trace_id = ctx.trace_id if ctx is not None else None
-                resp, code, detail = await self._route(
-                    op, fleet, fields,
-                    timeout=self._forward_timeout(timeout_ms),
-                    ctx=ctx, root=root,
+                raise ProtocolError(
+                    "invalid_request", "http_port must be an integer or null"
                 )
-                if resp is None:
-                    status = code
-                    response = error_response(
-                        req_id, code, detail, trace_id=trace_id
-                    )
-                elif resp.get("ok"):
-                    response = ok_response(
-                        req_id, resp["result"], trace_id=trace_id
-                    )
-                else:
-                    err = resp["error"]
-                    status = err.get("code", "internal")
-                    response = error_response(
-                        req_id, status, err.get("message", ""), trace_id=trace_id
-                    )
-            elif isinstance(request, RegisterFleetRequest):
-                response = ok_response(req_id, await self.register_fleet(request))
-            elif isinstance(request, StatsRequest):
-                response = ok_response(req_id, await self.stats())
-            else:
-                assert isinstance(request, HealthRequest)
-                response = ok_response(req_id, self.health())
-        except ProtocolError as exc:
-            status = exc.code
-            response = error_response(req_id, exc.code, str(exc), trace_id=trace_id)
-        except Exception as exc:  # noqa: BLE001 - the envelope must not leak
-            logger.exception("router request handling failed")
-            status = error_code_for(exc)
-            response = error_response(req_id, status, str(exc), trace_id=trace_id)
-        finally:
-            elapsed = time.perf_counter() - started
-            if obs.is_enabled() or root is not None:
-                self._latency[op if op in self._latency else "invalid"].observe(
-                    elapsed, exemplar=trace_id
-                )
-            if root is not None:
-                self._close_trace(
-                    root, op, status, fleet, size, started_wall, elapsed
-                )
-        return response
+            return await self.join(host, port, http_port)
+        assert op == "cluster_leave"
+        node_id = raw.get("node")
+        if not isinstance(node_id, str) or not node_id:
+            raise ProtocolError(
+                "invalid_request", "cluster_leave needs a 'node' id string"
+            )
+        return await self.leave(node_id)
+
+    async def _serve(
+        self, request: Any, ctx: TraceContext | None, root: Span | None
+    ) -> dict:
+        """Answer one parsed request over the replica set (FrontEnd hook)."""
+        if self._draining and not isinstance(request, (HealthRequest, StatsRequest)):
+            raise ProtocolError("shutting_down", "the router is draining")
+        if isinstance(request, RegisterFleetRequest):
+            return await self.register_fleet(request)
+        if isinstance(request, StatsRequest):
+            return await self.stats()
+        if isinstance(request, HealthRequest):
+            return self.health()
+        fleet = request.fleet
+        if not self._membership.knows_fleet(fleet):
+            raise ProtocolError(
+                "unknown_fleet", f"fleet {fleet!r} is not registered on this cluster"
+            )
+        if isinstance(request, ObserveRequest):
+            timeout_ms = None
+            fields = {
+                "fleet": fleet,
+                "observations": [dict(o) for o in request.observations],
+            }
+        else:
+            # Tenancy and idempotency ride through verbatim: the node
+            # applies quotas/fair queueing per tenant, and a replica-walk
+            # retry carrying the same idempotency key dedups against the
+            # node's window.  _route adds each attempt's trace context.
+            timeout_ms = request.timeout_ms
+            sizes = (
+                {"n": request.n} if isinstance(request, PlanRequest)
+                else {"ns": request.ns}
+            )
+            fields = plan_fields(
+                fleet, **sizes, timeout_ms=timeout_ms,
+                allocation=request.allocation, tenant=request.tenant,
+                idempotency_key=request.idempotency_key,
+            )
+        resp, code, detail = await self._route(
+            request.op, fleet, fields,
+            timeout=self._forward_timeout(timeout_ms), ctx=ctx, root=root,
+        )
+        if resp is None:
+            raise ProtocolError(code, detail)
+        if not resp.get("ok"):
+            err = resp["error"]
+            raise ProtocolError(err.get("code", "internal"), err.get("message", ""))
+        return resp["result"]
 
 
 def start_router_in_thread(
@@ -879,52 +691,16 @@ def start_router_in_thread(
     nodes: Sequence[NodeInfo] = (),
     *,
     timeout: float = 60.0,
-):
+) -> ServerHandle:
     """Boot a cluster router (with listeners) on a background thread.
 
     The cluster twin of :func:`repro.serve.server.start_in_thread`:
     returns the same :class:`~repro.serve.server.ServerHandle`, whose
     ``.service`` is the :class:`RouterService`.
     """
-    import threading
-
-    from ..serve.server import PlanServer, ServerHandle
-
     config = config or RouterConfig()
-    started = threading.Event()
-    state: dict[str, Any] = {}
-
-    async def _amain() -> None:
-        service = RouterService(config, nodes)
-        server = PlanServer(service, service.config)
-        try:
-            await server.start()
-        except BaseException as exc:
-            state["error"] = exc
-            started.set()
-            raise
-        stop_event = asyncio.Event()
-        state["loop"] = asyncio.get_running_loop()
-        state["server"] = server
-        state["service"] = service
-        state["stop_event"] = stop_event
-        started.set()
-        await stop_event.wait()
-        await server.stop(drain=getattr(service, "_drain_flag", True))
-
-    def _runner() -> None:
-        try:
-            asyncio.run(_amain())
-        except BaseException as exc:  # noqa: BLE001 - surfaced via state
-            state.setdefault("error", exc)
-            started.set()
-
-    thread = threading.Thread(target=_runner, name="repro-cluster-router", daemon=True)
-    thread.start()
-    if not started.wait(timeout=timeout):  # pragma: no cover - hung startup
-        raise RuntimeError("the router thread did not start in time")
-    if "error" in state:
-        raise state["error"]
-    return ServerHandle(
-        thread, state["loop"], state["server"], state["service"], state["stop_event"]
+    return run_in_thread(
+        lambda: RouterService(config, nodes),
+        name="repro-cluster-router",
+        timeout=timeout,
     )

@@ -3,11 +3,13 @@
 ``make cluster-smoke`` runs this module (``python -m repro.cluster.smoke``).
 It boots real node *processes* behind a router thread (TCP + HTTP
 listeners), registers the testbed fleet over the wire, checks routed
-plans bit-for-bit against the direct planner, exercises the aggregated
-``/stats`` + ``cluster_status`` planes, then SIGKILLs one member
-mid-load and asserts the fault-isolation contract: every request is
-answered (replica plan or typed error, never a hang), fallback plans
-stay bit-identical, and removing the corpse from the ring leaves
+plans bit-for-bit against the direct planner and against the
+independent optimality certificate (:mod:`repro.verify.certificate`),
+exercises the aggregated ``/stats`` + ``cluster_status`` planes, then
+SIGKILLs one member mid-load and asserts the fault-isolation contract:
+every request is answered (replica plan or typed error, never a hang),
+fallback plans pass the same two checks, and removing the corpse from
+the ring leaves
 bystander fleets where they were.  Exit code 0 means zero failures.
 
 On failure the router's flight recorder is dumped to
@@ -29,6 +31,7 @@ from ..experiments import build_network_models, tile_speed_functions
 from ..machines import table2_network
 from ..planner import Fleet, Planner
 from ..serve.client import ServeClient, run_load
+from ..serve.smoke import _check_plan, _span_names
 from .node import start_process_node
 from .router import RouterConfig, start_router_in_thread
 
@@ -75,13 +78,9 @@ def main(argv: list[str] | None = None) -> int:
             rng = np.random.default_rng(0)
             sizes = [int(n) for n in rng.integers(1e4, int(fleet.capacity), 16)]
             for n in sizes[:4]:
-                got = client.plan(fingerprint, n)
-                want = reference.plan(n)
-                if got["makespan"] != float(want.makespan) or got[
-                    "allocation"
-                ] != [int(x) for x in want.allocation]:
-                    print(f"FAIL: routed plan({n}) differs from direct planner")
-                    failures += 1
+                failures += _check_plan(
+                    client.plan(fingerprint, n), n, reference, sfs, "routed plan"
+                )
 
             load_sizes = [sizes[i % len(sizes)] for i in range(args.requests)]
             report = run_load(
@@ -128,13 +127,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"FAIL: {answered}/{args.requests} answered after the kill")
                 failures += 1
             for n in sizes[:4]:
-                got = client.plan(fingerprint, n)
-                want = reference.plan(n)
-                if got["makespan"] != float(want.makespan) or got[
-                    "allocation"
-                ] != [int(x) for x in want.allocation]:
-                    print(f"FAIL: fallback plan({n}) differs from direct planner")
-                    failures += 1
+                failures += _check_plan(
+                    client.plan(fingerprint, n), n, reference, sfs, "fallback plan"
+                )
             leave = client.call("cluster_leave", node=victim.node_id)
             if not leave["ok"]:
                 print(f"FAIL: cluster_leave refused: {leave['error']}")
@@ -159,15 +154,7 @@ def main(argv: list[str] | None = None) -> int:
             failures += 1
         else:
             tid = traces["traces"][0]["trace_id"]
-            detail = json.loads(
-                urllib.request.urlopen(f"{base}/debug/traces?id={tid}").read()
-            )
-            names = set()
-            stack = [detail.get("spans") or {}]
-            while stack:
-                node = stack.pop()
-                names.add(node.get("name"))
-                stack.extend(node.get("children", []))
+            names = _span_names(base, tid)
             if "cluster.attempt" not in names:
                 print(f"FAIL: trace {tid} has no routing spans: {names}")
                 failures += 1

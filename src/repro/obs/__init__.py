@@ -47,7 +47,7 @@ from .export import (
     write_json,
 )
 from .flight import FlightRecorder, RequestTrace
-from .sink import FleetTelemetrySink, Observation, StepObservation, size_band
+from .sink import FleetTelemetrySink, Observation, size_band
 from .logconfig import KeyValueFormatter, configure_logging, verbosity_to_level
 from .registry import (
     DEFAULT_COUNT_BUCKETS,
@@ -81,7 +81,6 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "RequestTrace",
     "Span",
-    "StepObservation",
     "TimedResult",
     "Timer",
     "TraceContext",

@@ -38,11 +38,11 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import IO, Mapping, NamedTuple
+from typing import IO, Mapping
 
 from .registry import get_registry
 
-__all__ = ["FleetTelemetrySink", "Observation", "StepObservation", "size_band"]
+__all__ = ["FleetTelemetrySink", "Observation", "size_band"]
 
 
 def size_band(n: float) -> tuple[float, float]:
@@ -52,22 +52,6 @@ def size_band(n: float) -> tuple[float, float]:
         return (0.0, 1.0)
     k = int(n).bit_length() - 1
     return (float(2**k), float(2 ** (k + 1)))
-
-
-class StepObservation(NamedTuple):
-    """One raw per-step speed observation.
-
-    .. deprecated::
-        Superseded by the unified :class:`Observation` record; kept so
-        existing consumers of :meth:`FleetTelemetrySink.recent_steps`
-        keep working.  New code should use
-        :meth:`FleetTelemetrySink.recent` / :class:`Observation`.
-    """
-
-    machine: int
-    size: float
-    speed: float
-    time: float
 
 
 @dataclass(frozen=True)
@@ -129,7 +113,7 @@ class Observation:
 
     @property
     def time(self) -> float:
-        """Alias of ``timestamp`` (the legacy ``StepObservation`` name)."""
+        """Alias of ``timestamp``, the attribute ``DriftDetector.ingest`` reads."""
         return self.timestamp
 
     def to_wire(self) -> dict:
@@ -159,7 +143,7 @@ class Observation:
     def from_step(
         cls, machine: int, size: float, speed: float, *, time: float = 0.0
     ) -> "Observation":
-        """Adapter from the legacy ``StepObservation`` positional shape."""
+        """A ``step`` record from positional ``(machine, size, speed)``."""
         return cls(
             machine=machine, size=size, speed=speed, timestamp=time, source="step"
         )
@@ -302,20 +286,6 @@ class FleetTelemetrySink:
         with self._lock:
             recent = list(self._recent.get(str(fingerprint), ()))
         return recent[-limit:] if limit is not None else recent
-
-    def recent_steps(
-        self, fingerprint: str, *, limit: int | None = None
-    ) -> list[StepObservation]:
-        """Recent raw step observations in the legacy tuple shape.
-
-        Thin adapter over :meth:`recent` (kept for callers predating the
-        unified :class:`Observation` record; new code should call
-        :meth:`recent`).
-        """
-        return [
-            StepObservation(o.machine, o.size, o.speed, o.timestamp)
-            for o in self.recent(fingerprint, limit=limit)
-        ]
 
     def fingerprints(self) -> list[str]:
         with self._lock:

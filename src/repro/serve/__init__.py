@@ -16,6 +16,9 @@ that question thousands of times per second, so this package wraps the
   ``multiprocessing``): each shard owns the :class:`~repro.planner.Planner`
   instances for its fingerprints, so plan caches and warm-started slope
   regions stay shard-local and lock-free;
+* :mod:`repro.serve.frontend` — the request pipeline (parse, trace,
+  dispatch, envelope, record) this package's service and the
+  :mod:`repro.cluster` router share;
 * :mod:`repro.serve.service` — micro-batching (concurrent ``plan``
   requests for one fleet coalesce into a single
   :meth:`~repro.planner.Planner.plan_many` sweep), admission control

@@ -31,7 +31,7 @@ from typing import Any, Mapping, Sequence
 
 from ..exceptions import ReproError
 from ..io import speed_function_to_dict
-from .protocol import PROTOCOL_VERSION, decode_frame, encode_frame
+from .protocol import PROTOCOL_VERSION, decode_frame, encode_frame, plan_fields
 
 __all__ = ["ServeError", "ServeClient", "AsyncServeClient", "LoadReport", "run_load"]
 
@@ -139,17 +139,10 @@ class ServeClient:
         bucket; ``idempotency_key`` makes retries of the same logical
         request return the original response without re-solving.
         """
-        fields: dict[str, Any] = {
-            "fleet": fingerprint, "n": int(n), "allocation": allocation,
-        }
-        if timeout_ms is not None:
-            fields["timeout_ms"] = timeout_ms
-        if trace is not None:
-            fields["trace"] = dict(trace)
-        if tenant:
-            fields["tenant"] = tenant
-        if idempotency_key is not None:
-            fields["idempotency_key"] = idempotency_key
+        fields = plan_fields(
+            fingerprint, n=n, timeout_ms=timeout_ms, allocation=allocation,
+            trace=trace, tenant=tenant, idempotency_key=idempotency_key,
+        )
         return _unwrap(self.call("plan", **fields))
 
     def plan_many(
@@ -164,19 +157,10 @@ class ServeClient:
         idempotency_key: str | None = None,
     ) -> list[dict]:
         """A batch; returns per-item verdicts (ok or error dicts)."""
-        fields: dict[str, Any] = {
-            "fleet": fingerprint,
-            "ns": [int(n) for n in ns],
-            "allocation": allocation,
-        }
-        if timeout_ms is not None:
-            fields["timeout_ms"] = timeout_ms
-        if trace is not None:
-            fields["trace"] = dict(trace)
-        if tenant:
-            fields["tenant"] = tenant
-        if idempotency_key is not None:
-            fields["idempotency_key"] = idempotency_key
+        fields = plan_fields(
+            fingerprint, ns=ns, timeout_ms=timeout_ms, allocation=allocation,
+            trace=trace, tenant=tenant, idempotency_key=idempotency_key,
+        )
         return _unwrap(self.call("plan_many", **fields))["results"]
 
     def observe(self, fingerprint: str, observations: Sequence) -> dict:
@@ -271,17 +255,10 @@ class AsyncServeClient:
         tenant: str = "",
         idempotency_key: str | None = None,
     ) -> dict:
-        fields: dict[str, Any] = {
-            "fleet": fingerprint, "n": int(n), "allocation": allocation,
-        }
-        if timeout_ms is not None:
-            fields["timeout_ms"] = timeout_ms
-        if trace is not None:
-            fields["trace"] = dict(trace)
-        if tenant:
-            fields["tenant"] = tenant
-        if idempotency_key is not None:
-            fields["idempotency_key"] = idempotency_key
+        fields = plan_fields(
+            fingerprint, n=n, timeout_ms=timeout_ms, allocation=allocation,
+            trace=trace, tenant=tenant, idempotency_key=idempotency_key,
+        )
         return _unwrap(await self.call("plan", **fields))
 
     async def plan_many(
@@ -293,15 +270,10 @@ class AsyncServeClient:
         tenant: str = "",
         idempotency_key: str | None = None,
     ) -> list[dict]:
-        fields: dict[str, Any] = {
-            "fleet": fingerprint,
-            "ns": [int(n) for n in ns],
-            "allocation": allocation,
-        }
-        if tenant:
-            fields["tenant"] = tenant
-        if idempotency_key is not None:
-            fields["idempotency_key"] = idempotency_key
+        fields = plan_fields(
+            fingerprint, ns=ns, allocation=allocation,
+            tenant=tenant, idempotency_key=idempotency_key,
+        )
         return _unwrap(await self.call("plan_many", **fields))["results"]
 
     async def close(self) -> None:
@@ -403,13 +375,10 @@ async def _run_load_async(
             except asyncio.QueueEmpty:
                 return
             begin = time.perf_counter()
-            fields: dict[str, Any] = {
-                "fleet": fingerprint, "n": n, "allocation": allocation,
-            }
-            if timeout_ms is not None:
-                fields["timeout_ms"] = timeout_ms
-            if tenant:
-                fields["tenant"] = tenant
+            fields = plan_fields(
+                fingerprint, n=n, timeout_ms=timeout_ms, allocation=allocation,
+                tenant=tenant,
+            )
             response = await client.call("plan", **fields)
             report.latencies_seconds.append(time.perf_counter() - begin)
             if response.get("ok"):

@@ -75,6 +75,7 @@ __all__ = [
     "HealthRequest",
     "StatsRequest",
     "parse_request",
+    "plan_fields",
     "encode_frame",
     "decode_frame",
     "ok_response",
@@ -188,6 +189,16 @@ class RegisterFleetRequest:
     cache_size: int = 1024
 
     op = "register_fleet"
+
+    def spec(self) -> dict:
+        """The normalised fleet spec this registration ships to shards/nodes."""
+        return fleet_spec_from_speed_functions(
+            speed_functions_from_fleet_spec({"speed_functions": self.speed_functions}),
+            name=self.name,
+            algorithm=self.algorithm,
+            options=self.options,
+            cache_size=self.cache_size,
+        )
 
 
 @dataclass(frozen=True)
@@ -478,6 +489,37 @@ def parse_request(raw: Any) -> Request:
     if op == "stats":
         return StatsRequest(id=req_id)
     raise ProtocolError("unknown_op", f"unknown operation {op!r}")
+
+
+def plan_fields(
+    fleet: str,
+    *,
+    n: int | None = None,
+    ns: Sequence[int] | None = None,
+    timeout_ms: float | None = None,
+    allocation: bool = True,
+    trace: Mapping | None = None,
+    tenant: str = "",
+    idempotency_key: str | None = None,
+) -> dict:
+    """The wire fields of a ``plan`` (pass ``n``) or ``plan_many`` (pass
+    ``ns``) request.  Unset optional fields are left out, so a request
+    that does not use them is a legacy v1 frame."""
+    fields: dict[str, Any] = {"fleet": fleet}
+    if ns is None:
+        fields["n"] = int(n)
+    else:
+        fields["ns"] = [int(x) for x in ns]
+    fields["allocation"] = allocation
+    if timeout_ms is not None:
+        fields["timeout_ms"] = timeout_ms
+    if trace is not None:
+        fields["trace"] = dict(trace)
+    if tenant:
+        fields["tenant"] = tenant
+    if idempotency_key is not None:
+        fields["idempotency_key"] = idempotency_key
+    return fields
 
 
 # ---------------------------------------------------------------------------

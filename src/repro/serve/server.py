@@ -24,7 +24,8 @@ The optional HTTP listener exists for operability, stdlib-only:
 :func:`start_in_thread` boots a whole server (service, shard pool and
 listeners) on a private event loop in a daemon thread and returns a
 :class:`ServerHandle` — the entry point used by tests, the ``repro
-serve`` CLI, ``make serve-smoke`` and the throughput benchmark.
+serve`` CLI, ``make serve-smoke`` and the throughput benchmark.  The
+cluster router boots through the same :func:`run_in_thread` body.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ import asyncio
 import json
 import logging
 import threading
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
+from .frontend import FrontEnd
 from .protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -52,11 +54,16 @@ logger = logging.getLogger(__name__)
 
 
 class PlanServer:
-    """The listeners wrapped around one :class:`PlanningService`."""
+    """The listeners wrapped around one front-end service.
 
-    def __init__(self, service: PlanningService, config: ServeConfig | None = None):
+    The service is a :class:`~repro.serve.frontend.FrontEnd` — a
+    :class:`PlanningService` or a cluster router — and its ``config``
+    holds the listener addresses.
+    """
+
+    def __init__(self, service: FrontEnd):
         self._service = service
-        self._config = config or service.config
+        self._config = service.config
         self._tcp_server: asyncio.AbstractServer | None = None
         self._http_server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
@@ -346,18 +353,19 @@ class ServerHandle:
     on its loop via :meth:`call`.
     """
 
-    def __init__(self, thread, loop, server, service, stop_event):
+    def __init__(self, thread, loop, server, service, stop):
         self._thread = thread
         self._loop: asyncio.AbstractEventLoop = loop
         self._server: PlanServer = server
-        self._service: PlanningService = service
-        self._stop_event: asyncio.Event = stop_event
+        self._service: FrontEnd = service
+        # Resolved (on the loop) with the drain flag the runner stops with.
+        self._stop: asyncio.Future = stop
         self.host = server.host
         self.port = server.port
         self.http_port = server.http_port
 
     @property
-    def service(self) -> PlanningService:
+    def service(self) -> FrontEnd:
         return self._service
 
     def call(self, coro, *, timeout: float = 60.0) -> Any:
@@ -369,8 +377,8 @@ class ServerHandle:
         """Graceful (or abrupt) shutdown; joins the server thread."""
         if self._thread.is_alive():
             def _signal() -> None:
-                self._service._drain_flag = drain  # read by the runner below
-                self._stop_event.set()
+                if not self._stop.done():
+                    self._stop.set_result(drain)
 
             self._loop.call_soon_threadsafe(_signal)
             self._thread.join(timeout=timeout)
@@ -394,26 +402,37 @@ def start_in_thread(
     port, a bad config — re-raise in the calling thread.
     """
     config = config or ServeConfig()
+    return run_in_thread(
+        lambda: PlanningService(config), name="repro-serve", timeout=timeout
+    )
+
+
+def run_in_thread(
+    make_service: Callable[[], FrontEnd], *, name: str, timeout: float = 60.0
+) -> ServerHandle:
+    """Boot ``make_service()`` behind a :class:`PlanServer` on a thread.
+
+    The service is built and started on a private event loop in a daemon
+    thread named ``name``; the call returns once the listeners are bound,
+    and startup failures re-raise in the calling thread.
+    """
     started = threading.Event()
     state: dict[str, Any] = {}
 
     async def _amain() -> None:
-        service = PlanningService(config)
-        server = PlanServer(service, config)
+        service = make_service()
+        server = PlanServer(service)
         try:
             await server.start()
         except BaseException as exc:
             state["error"] = exc
             started.set()
             raise
-        stop_event = asyncio.Event()
-        state["loop"] = asyncio.get_running_loop()
-        state["server"] = server
-        state["service"] = service
-        state["stop_event"] = stop_event
+        loop = asyncio.get_running_loop()
+        stop = loop.create_future()
+        state.update(loop=loop, server=server, service=service, stop=stop)
         started.set()
-        await stop_event.wait()
-        await server.stop(drain=getattr(service, "_drain_flag", True))
+        await server.stop(drain=await stop)
 
     def _runner() -> None:
         try:
@@ -422,12 +441,12 @@ def start_in_thread(
             state.setdefault("error", exc)
             started.set()
 
-    thread = threading.Thread(target=_runner, name="repro-serve", daemon=True)
+    thread = threading.Thread(target=_runner, name=name, daemon=True)
     thread.start()
     if not started.wait(timeout=timeout):  # pragma: no cover - hung startup
-        raise RuntimeError("the serve thread did not start in time")
+        raise RuntimeError(f"the {name} thread did not start in time")
     if "error" in state:
         raise state["error"]
     return ServerHandle(
-        thread, state["loop"], state["server"], state["service"], state["stop_event"]
+        thread, state["loop"], state["server"], state["service"], state["stop"]
     )

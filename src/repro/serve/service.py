@@ -3,7 +3,9 @@
 :class:`PlanningService` is the transport-agnostic heart of
 :mod:`repro.serve`.  The TCP and HTTP listeners, the smoke target and the
 unit tests all feed decoded request objects into :meth:`PlanningService.handle`
-and get response dicts back; everything below that call is this module:
+and get response dicts back.  That call is the shared
+:class:`~repro.serve.frontend.FrontEnd` pipeline (parse, trace, envelope,
+record); everything it dispatches to is this module:
 
 **Micro-batching.**  Concurrent ``plan`` requests for the same fleet
 fingerprint are coalesced: the first arrival opens a batching window
@@ -47,23 +49,18 @@ from ..exceptions import ConfigurationError, ReproError
 from ..model.builder import DEFAULT_EPSILON, ModelBuildOptions
 from ..model.online import OnlineBandRefitter
 from ..obs.context import TraceContext
-from ..obs.flight import FlightRecorder, RequestTrace
 from ..obs.sink import FleetTelemetrySink, Observation
 from ..obs.spans import Span
 from ..planner import Fleet
+from .frontend import FrontEnd, FrontEndConfig
 from .protocol import (
-    HealthRequest,
     ObserveRequest,
     PlanManyRequest,
     PlanRequest,
     ProtocolError,
     RegisterFleetRequest,
     StatsRequest,
-    error_code_for,
-    error_response,
     fleet_spec_from_speed_functions,
-    ok_response,
-    parse_request,
     speed_functions_from_fleet_spec,
 )
 from .shard import ShardPool
@@ -115,8 +112,12 @@ class OnlineRefitConfig:
 
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(FrontEndConfig):
     """Tuning knobs for the planning service (see ``docs/serving.md``).
+
+    The listener and tracing fields (``host``, ``port``, ``http_port``,
+    ``tracing``, ``flight_*``) are inherited from
+    :class:`~repro.serve.frontend.FrontEndConfig`.
 
     Attributes
     ----------
@@ -136,25 +137,11 @@ class ServeConfig:
     default_timeout_ms:
         Deadline applied to requests that do not carry their own
         ``timeout_ms`` (``None`` = no deadline).
-    host / port / http_port:
-        Listener addresses for :class:`~repro.serve.server.PlanServer`
-        (``port=0`` picks an ephemeral port; ``http_port=None`` disables
-        the HTTP listener).
     node_id:
         Optional member name when this server runs as one node of a
         :mod:`repro.cluster` deployment; surfaced in ``health`` and
         ``stats`` so the router and the aggregating CLI can label
         per-node columns.  Empty for a standalone server.
-    tracing:
-        Per-request distributed tracing (independent of the global
-        :func:`repro.obs.enable` switch): every ``plan`` / ``plan_many``
-        request gets a trace id, a span tree stitched across the shard
-        boundary, a latency exemplar, and a flight-recorder entry.  Off,
-        requests are counted as *sampled* and only client-supplied trace
-        ids are echoed.
-    flight_capacity / flight_retain / flight_slow_k:
-        Flight-recorder bounds: recent-trace ring size, always-retain
-        (error/shed/deadline) store cap, and top-K-slowest store size.
     online_refit:
         When set, ``observe`` requests feed an
         :class:`repro.model.OnlineBandRefitter` per fleet: observed
@@ -188,14 +175,7 @@ class ServeConfig:
     max_batch: int = 64
     queue_depth: int = 128
     default_timeout_ms: float | None = None
-    host: str = "127.0.0.1"
-    port: int = 0
-    http_port: int | None = None
     node_id: str = ""
-    tracing: bool = True
-    flight_capacity: int = 256
-    flight_retain: int = 1024
-    flight_slow_k: int = 16
     online_refit: OnlineRefitConfig | None = None
     tenancy: TenancyConfig | None = None
     idempotency_window: int = 1024
@@ -346,46 +326,29 @@ def _item_error(code: str, message: str) -> dict:
     return {"ok": False, "code": code, "message": message}
 
 
-class PlanningService:
+class PlanningService(FrontEnd):
     """Async service answering protocol requests over a shard pool.
 
-    Construct, then ``await start()`` from the event loop that will call
-    :meth:`handle`.  All batching state is touched only from that loop,
-    so it needs no locks; the shard pool does its own synchronisation.
+    The :class:`~repro.serve.frontend.FrontEnd` whose backend is the local
+    shard pool.  Construct, then ``await start()`` from the event loop
+    that will call :meth:`handle`.  All batching state is touched only
+    from that loop, so it needs no locks; the shard pool does its own
+    synchronisation.
     """
 
+    prefix = "serve"
+
     def __init__(self, config: ServeConfig | None = None):
-        self._config = config or ServeConfig()
+        super().__init__(config or ServeConfig(), sink=FleetTelemetrySink())
         self._pool: ShardPool | None = None
         self._fleets: dict[str, dict] = {}
         self._refits: dict[str, _RefitState] = {}
         self._batches: dict[tuple[str, str], _BatchState] = {}
         self._inflight: set[asyncio.Task] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._draining = False
         self._started_at = time.time()
 
         registry = obs.get_registry()
-        self._latency = {
-            op: registry.histogram(
-                "serve.request.seconds",
-                labels={"op": op},
-                help="front-end latency per request, by operation",
-            )
-            for op in (
-                "plan", "plan_many", "register_fleet", "observe", "health",
-                "stats", "invalid",
-            )
-        }
-        self._requests = registry.counter(
-            "serve.requests", help="requests received, all operations"
-        )
-        self._responses_ok = registry.counter(
-            "serve.responses", labels={"status": "ok"}, help="responses by status"
-        )
-        self._responses_err = registry.counter(
-            "serve.responses", labels={"status": "error"}, help="responses by status"
-        )
         self._shed = registry.counter(
             "serve.shed", help="plan requests shed with an overloaded response"
         )
@@ -401,37 +364,12 @@ class PlanningService:
         self._idem = _IdempotencyWindow(self._config.idempotency_window)
         self._tenant_counters: dict[tuple[str, str], Any] = {}
 
-        cfg = self._config
-        self._tracing = bool(cfg.tracing)
-        # The recorder and sink exist even with tracing off, so the
-        # /debug/traces route and the stats shape stay stable (the
-        # recorder then only counts sampled-away requests).
-        self._recorder = FlightRecorder(
-            cfg.flight_capacity,
-            retain_capacity=cfg.flight_retain,
-            slow_k=cfg.flight_slow_k,
-        )
-        self._sink = FleetTelemetrySink()
-
     # -- lifecycle ------------------------------------------------------
-    @property
-    def config(self) -> ServeConfig:
-        return self._config
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     @property
     def pool(self) -> ShardPool:
         if self._pool is None:
             raise RuntimeError("the service has not been started")
         return self._pool
-
-    @property
-    def recorder(self) -> FlightRecorder:
-        """The flight recorder holding recently completed request traces."""
-        return self._recorder
 
     @property
     def sink(self) -> FleetTelemetrySink:
@@ -938,8 +876,8 @@ class PlanningService:
         return {
             "node_id": self._config.node_id,
             "requests": int(self._requests.value),
-            "responses_ok": int(self._responses_ok.value),
-            "responses_error": int(self._responses_err.value),
+            "responses_ok": int(self._responses[True].value),
+            "responses_error": int(self._responses[False].value),
             "shed": int(self._shed.value),
             "batches": int(self._batches_flushed.value),
             "fleets": {
@@ -1002,157 +940,31 @@ class PlanningService:
             },
         }
 
-    # -- tracing --------------------------------------------------------
-    def _open_trace(
-        self, client: TraceContext | None, name: str, **attrs: Any
-    ) -> tuple[TraceContext | None, Span | None]:
-        """The request's own trace identity and listener-side root span.
-
-        A client-supplied context stays the trace's identity (its span
-        becomes our parent); otherwise a fresh trace is started.  With
-        serve tracing off, no span is built — the request is counted as
-        sampled and a client trace id is merely echoed.
-        """
-        if not self._tracing:
-            self._recorder.note_sampled()
-            return client, None
-        ctx = client.child() if client is not None else TraceContext.new()
-        root = Span(
-            name=name,
-            attrs=attrs,
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-            parent_id=ctx.parent_id or "",
-            started=time.time(),
-        )
-        return ctx, root
-
-    def _close_trace(
-        self,
-        root: Span,
-        op: str,
-        status: str,
-        fleet: str,
-        n: int | None,
-        started_wall: float,
-        seconds: float,
-    ) -> None:
-        """Finish the request's root span and file it with the recorder."""
-        root.seconds = seconds
-        if status != "ok":
-            root.status = "error"
-            root.attrs["code"] = status
-        self._recorder.record(
-            RequestTrace(
-                trace_id=root.trace_id,
-                op=op,
-                status=status,
-                fleet=fleet,
-                n=n,
-                started=started_wall,
-                seconds=seconds,
-                root=root,
-            )
-        )
-        if status == "ok" and fleet and n is not None:
-            self._sink.observe_solve(fleet, n=n, seconds=seconds)
-
     # -- protocol dispatch ----------------------------------------------
-    async def handle(self, raw: Any) -> dict:
-        """One decoded frame in, one response dict out (never raises)."""
-        self._requests.inc()
-        req_id = raw.get("id") if isinstance(raw, Mapping) else None
-        started = time.perf_counter()
-        started_wall = time.time()
-        op = "invalid"
-        status = "ok"
-        fleet, size = "", None
-        trace_id: str | None = None
-        root: Span | None = None
-        try:
-            request = parse_request(raw)
-            op = request.op
-            if isinstance(request, PlanRequest):
-                fleet, size = request.fleet, request.n
-                ctx, root = self._open_trace(request.trace, "serve.plan", n=request.n)
-                trace_id = ctx.trace_id if ctx is not None else None
-                item = await self.plan(
-                    request.fleet,
-                    request.n,
-                    timeout_ms=request.timeout_ms,
-                    allocation=request.allocation,
-                    trace=ctx if root is not None else None,
-                    span=root,
-                    tenant=request.tenant,
-                    idempotency_key=request.idempotency_key,
-                )
-                if item.get("ok"):
-                    response = ok_response(request.id, item, trace_id=trace_id)
-                else:
-                    status = item["code"]
-                    response = error_response(
-                        request.id, item["code"], item["message"], trace_id=trace_id
-                    )
-            elif isinstance(request, PlanManyRequest):
-                fleet = request.fleet
-                ctx, root = self._open_trace(
-                    request.trace, "serve.plan_many", count=len(request.ns)
-                )
-                trace_id = ctx.trace_id if ctx is not None else None
-                items = await self.plan_many(
-                    request.fleet,
-                    request.ns,
-                    timeout_ms=request.timeout_ms,
-                    allocation=request.allocation,
-                    trace=ctx if root is not None else None,
-                    span=root,
-                    tenant=request.tenant,
-                    idempotency_key=request.idempotency_key,
-                )
-                # The envelope stays ok (each item carries its own
-                # verdict); the recorder files the worst item code so
-                # shed/expired batches land in the always-retain store.
-                bad = next((it for it in items if not it.get("ok", False)), None)
-                if bad is not None:
-                    status = bad.get("code", "internal")
-                response = ok_response(
-                    request.id, {"results": items}, trace_id=trace_id
-                )
-            elif isinstance(request, RegisterFleetRequest):
-                info = await self.register_fleet(
-                    spec=fleet_spec_from_speed_functions(
-                        speed_functions_from_fleet_spec(
-                            {"speed_functions": request.speed_functions}
-                        ),
-                        name=request.name,
-                        algorithm=request.algorithm,
-                        options=request.options,
-                        cache_size=request.cache_size,
-                    )
-                )
-                response = ok_response(request.id, info)
-            elif isinstance(request, ObserveRequest):
-                fleet = request.fleet
-                doc = await self.observe(request.fleet, request.observations)
-                response = ok_response(request.id, doc)
-            elif isinstance(request, StatsRequest):
-                response = ok_response(request.id, await self.stats())
-            else:
-                assert isinstance(request, HealthRequest)
-                response = ok_response(request.id, self.health())
-        except ProtocolError as exc:
-            status = exc.code
-            response = error_response(req_id, exc.code, str(exc), trace_id=trace_id)
-        except Exception as exc:  # noqa: BLE001 - the envelope must not leak
-            logger.exception("request handling failed")
-            status = error_code_for(exc)
-            response = error_response(req_id, status, str(exc), trace_id=trace_id)
-        elapsed = time.perf_counter() - started
-        if obs.is_enabled() or root is not None:
-            self._latency[op if op in self._latency else "invalid"].observe(
-                elapsed, exemplar=trace_id
+    async def _serve(
+        self, request: Any, ctx: TraceContext | None, root: Span | None
+    ) -> dict:
+        """Answer one parsed request from the shard pool (FrontEnd hook)."""
+        if isinstance(request, (PlanRequest, PlanManyRequest)):
+            kwargs = dict(
+                timeout_ms=request.timeout_ms,
+                allocation=request.allocation,
+                trace=ctx if root is not None else None,
+                span=root,
+                tenant=request.tenant,
+                idempotency_key=request.idempotency_key,
             )
-        if root is not None:
-            self._close_trace(root, op, status, fleet, size, started_wall, elapsed)
-        (self._responses_ok if response["ok"] else self._responses_err).inc()
-        return response
+            if isinstance(request, PlanManyRequest):
+                items = await self.plan_many(request.fleet, request.ns, **kwargs)
+                return {"results": items}
+            item = await self.plan(request.fleet, request.n, **kwargs)
+            if not item.get("ok"):
+                raise ProtocolError(item["code"], item["message"])
+            return item
+        if isinstance(request, RegisterFleetRequest):
+            return await self.register_fleet(spec=request.spec())
+        if isinstance(request, ObserveRequest):
+            return await self.observe(request.fleet, request.observations)
+        if isinstance(request, StatsRequest):
+            return await self.stats()
+        return self.health()

@@ -209,9 +209,7 @@ def worker_loop(
                     )
                 )
             elif kind == _KIND_BATCH:
-                fingerprint, items = msg[2], msg[3]
-                # Older 4-tuple messages (no trace element) stay valid.
-                trace = msg[4] if len(msg) > 4 else None
+                fingerprint, items, trace = msg[2], msg[3], msg[4]
                 if trace is None:
                     outbox.put(
                         (job_id, _solve_batch(planners, capacities, fingerprint, items))
@@ -657,9 +655,10 @@ class ShardPool:
             raise ConfigurationError("the shard pool is closed")
         shard = self.shard_for(fingerprint)
         job_id, fut = self._new_job()
-        msg = (_KIND_BATCH, job_id, fingerprint, [dict(it) for it in items])
-        if trace is not None:
-            msg = msg + (dict(trace),)
+        msg = (
+            _KIND_BATCH, job_id, fingerprint, [dict(it) for it in items],
+            None if trace is None else dict(trace),
+        )
         try:
             self._inboxes[shard].put_nowait(
                 msg,

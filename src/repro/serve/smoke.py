@@ -80,20 +80,8 @@ def main(argv: list[str] | None = None) -> int:
             sizes = [int(n) for n in rng.integers(1e5, int(fleet.capacity), 16)]
             for n in sizes[:4]:
                 failures += _check_plan(client.plan(fingerprint, n), n, reference, sfs)
-            batch = client.plan_many(fingerprint, sizes)
-            bad = [item for item in batch if not item.get("ok")]
-            if bad:
-                print(f"FAIL: plan_many returned {len(bad)} item errors: {bad[:2]}")
-                failures += 1
-            for n, item in zip(sizes, batch):
-                if not item.get("ok"):
-                    continue
-                cert = check_allocation(
-                    item["allocation"], sfs, n=n, makespan=item["makespan"]
-                )
-                if not cert.ok:
-                    print(f"FAIL: plan_many({n}) certificate: {cert.summary()}")
-                    failures += 1
+            for n, item in zip(sizes, client.plan_many(fingerprint, sizes)):
+                failures += _check_plan(item, n, reference, sfs, "plan_many item")
             if client.health()["status"] != "ok":
                 print("FAIL: health is not ok")
                 failures += 1
@@ -143,15 +131,7 @@ def main(argv: list[str] | None = None) -> int:
             failures += 1
         if traces["traces"]:
             tid = traces["traces"][0]["trace_id"]
-            detail = json.loads(
-                urllib.request.urlopen(f"{base}/debug/traces?id={tid}").read()
-            )
-            span_names = set()
-            stack = [detail.get("spans") or {}]
-            while stack:
-                node = stack.pop()
-                span_names.add(node.get("name"))
-                stack.extend(node.get("children", []))
+            span_names = _span_names(base, tid)
             if "serve.shard.batch" not in span_names:
                 print(f"FAIL: trace {tid} has no shard-side spans: {span_names}")
                 failures += 1
@@ -173,24 +153,38 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _check_plan(item: dict, n: int, reference, sfs) -> int:
+def _check_plan(item: dict, n: int, reference, sfs, what: str = "plan") -> int:
     """Failed checks (0-2) of one served plan: bit-identity to the direct
-    planner, and the independent optimality certificate."""
+    planner, and the independent optimality certificate.  ``what`` names
+    the plan in failure messages."""
     if not item.get("ok"):
-        print(f"FAIL: plan({n}) returned an error: {item}")
+        print(f"FAIL: {what}({n}) returned an error: {item}")
         return 1
     failures = 0
     want = reference.plan(n)
     if item["makespan"] != float(want.makespan) or item["allocation"] != [
         int(x) for x in want.allocation
     ]:
-        print(f"FAIL: plan({n}) differs from the direct planner")
+        print(f"FAIL: {what}({n}) differs from the direct planner")
         failures += 1
     cert = check_allocation(item["allocation"], sfs, n=n, makespan=item["makespan"])
     if not cert.ok:
-        print(f"FAIL: plan({n}) certificate: {cert.summary()}")
+        print(f"FAIL: {what}({n}) certificate: {cert.summary()}")
         failures += 1
     return failures
+
+
+def _span_names(base: str, trace_id: str) -> set:
+    """Every span name in the ``/debug/traces?id=`` span tree at ``base``."""
+    detail = json.loads(
+        urllib.request.urlopen(f"{base}/debug/traces?id={trace_id}").read()
+    )
+    names, stack = set(), [detail.get("spans") or {}]
+    while stack:
+        node = stack.pop()
+        names.add(node.get("name"))
+        stack.extend(node.get("children", []))
+    return names
 
 
 def _overflow_warm_tier(client, fingerprint, sfs, reference, bound: int) -> int:

@@ -165,7 +165,7 @@ def test_ingest_bridges_the_telemetry_sink_to_drift_events(trio, fresh_obs):
     sink.observe_step("fp", machine=7, size=x, speed=1.0)
 
     det = DriftDetector(trio, patience=3, smoothing=1.0)
-    events = det.ingest(sink.recent_steps("fp"))
+    events = det.ingest(sink.recent("fp"))
 
     (ev,) = events
     assert ev.machine == 1
@@ -176,13 +176,13 @@ def test_ingest_bridges_the_telemetry_sink_to_drift_events(trio, fresh_obs):
 
 
 def test_ingest_empty_and_repeat_batches(trio):
-    from repro.obs.sink import StepObservation
+    from repro.adapt import Observation
 
     det = DriftDetector(trio, patience=2)
     assert det.ingest([]) == []
     x = 1e4
     slow = 0.3 * float(trio[0].speed(x))
-    batch = [StepObservation(0, x, slow, 1.0)]
+    batch = [Observation.from_step(0, x, slow, time=1.0)]
     assert det.ingest(batch) == []          # streak 1 of 2
     events = det.ingest(batch)              # streak 2 confirms
     assert len(events) == 1 and events[0].machine == 0

@@ -1,0 +1,138 @@
+"""The request contract both front-ends keep: the node and the router.
+
+A planning server and a cluster router answer the same protocol through
+the same front-end pipeline (parse, trace, dispatch, envelope, record).
+Every case here runs against both — ``start_in_thread`` and
+``start_router_in_thread`` in front of one thread node — and drives them
+through ``handle.call(handle.service.handle(raw))``, so the assertions
+see exactly what a listener would write back.
+"""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from repro import obs
+from repro.serve.protocol import PROTOCOL_VERSION
+
+#: A client-supplied trace context (lowercase hex ids).
+CLIENT_TRACE = {"trace_id": "ab" * 16, "span_id": "cd" * 8}
+
+
+class FrontEndUnderTest:
+    """One booted front-end, its metric prefix and a registered fleet."""
+
+    def __init__(self, handle, prefix: str, fingerprint: str = ""):
+        self.handle = handle
+        self.prefix = prefix
+        self.fingerprint = fingerprint
+
+    def send(self, raw):
+        return self.handle.call(self.handle.service.handle(raw))
+
+    def sample(self, family: str) -> float:
+        """One sample of the Prometheus exposition (0 when absent)."""
+        pattern = "^" + re.escape(family) + r" (\S+)$"
+        match = re.search(pattern, obs.to_prometheus(), re.MULTILINE)
+        return float(match.group(1)) if match else 0.0
+
+    def plan(self, n: int, req_id: int = 1, **extra):
+        return self.send({"v": PROTOCOL_VERSION, "id": req_id, "op": "plan",
+                          "fleet": self.fingerprint, "n": n, **extra})
+
+
+@pytest.fixture(params=["serve", "cluster"])
+def front_end(request, trio_spec):
+    from repro.cluster import RouterConfig, start_router_in_thread, start_thread_node
+    from repro.serve import ServeConfig, start_in_thread
+
+    if request.param == "serve":
+        handle = start_in_thread(ServeConfig(shards=1, batch_window=0.001))
+        node = None
+    else:
+        node = start_thread_node("contract", batch_window=0.001)
+        handle = start_router_in_thread(RouterConfig(probe_interval=0), [node.info])
+    try:
+        fe = FrontEndUnderTest(handle, request.param)
+        reg = fe.send({"v": PROTOCOL_VERSION, "id": 0, "op": "register_fleet",
+                       "name": "trio", "speed_functions": trio_spec["speed_functions"]})
+        assert reg["ok"], reg
+        fe.fingerprint = reg["result"]["fingerprint"]
+        yield fe
+    finally:
+        handle.stop()
+        if node is not None:
+            node.stop()
+
+
+def test_malformed_frames_answer_typed_errors(front_end):
+    answers = [
+        front_end.send("not a frame"),
+        front_end.send({"v": 99, "id": 1, "op": "plan"}),
+        front_end.send({"v": 1, "id": 2, "op": "warp"}),
+        front_end.send({"v": 1, "id": 3, "op": "plan", "fleet": front_end.fingerprint}),
+        front_end.send({"v": 1, "id": 4, "op": ["cluster_status"]}),
+    ]
+    assert [a["error"]["code"] for a in answers] == [
+        "invalid_request", "unsupported_version", "unknown_op", "invalid_request",
+        "invalid_request",
+    ]
+    assert [a["id"] for a in answers] == [None, 1, 2, 3, 4]
+
+
+def test_request_metrics_move(front_end):
+    p = front_end.prefix
+    requests = front_end.sample(f"{p}_requests_total")
+    plans = front_end.sample(f'{p}_request_seconds_count{{op="plan"}}')
+    assert front_end.plan(1000)["ok"]
+    assert front_end.sample(f"{p}_requests_total") == requests + 1
+    assert front_end.sample(f'{p}_request_seconds_count{{op="plan"}}') == plans + 1
+
+
+def test_responses_are_counted_by_status(front_end):
+    p = front_end.prefix
+    ok = front_end.sample(f'{p}_responses_total{{status="ok"}}')
+    err = front_end.sample(f'{p}_responses_total{{status="error"}}')
+    assert front_end.plan(1000)["ok"]
+    assert not front_end.send({"v": 1, "id": 2, "op": "warp"})["ok"]
+    assert front_end.sample(f'{p}_responses_total{{status="ok"}}') == ok + 1
+    assert front_end.sample(f'{p}_responses_total{{status="error"}}') == err + 1
+
+
+def test_client_trace_is_echoed_and_filed(front_end):
+    resp = front_end.plan(1000, trace=CLIENT_TRACE)
+    assert resp["ok"], resp
+    assert resp["trace_id"] == CLIENT_TRACE["trace_id"]
+    trace = front_end.handle.service.recorder.get(CLIENT_TRACE["trace_id"])
+    assert trace is not None
+    assert trace.root.name == f"{front_end.prefix}.plan"
+    assert trace.root.parent_id == CLIENT_TRACE["span_id"]
+
+
+def test_plan_many_trace_files_the_worst_item_code(front_end):
+    resp = front_end.send({"v": 1, "id": 1, "op": "plan_many",
+                           "fleet": front_end.fingerprint, "ns": [100, 10**15]})
+    assert resp["ok"], resp  # the envelope stays ok; items carry verdicts
+    good, bad = resp["result"]["results"]
+    assert good["ok"] and bad["code"] == "infeasible"
+    trace = front_end.handle.service.recorder.get(resp["trace_id"])
+    assert trace.root.name == f"{front_end.prefix}.plan_many"
+    assert trace.status == "infeasible"
+
+
+def test_unknown_fleet_error_carries_a_trace_id(front_end):
+    resp = front_end.send({"v": 1, "id": 1, "op": "plan",
+                           "fleet": "no-such-fleet", "n": 1000})
+    assert resp["error"]["code"] == "unknown_fleet"
+    trace = front_end.handle.service.recorder.get(resp.get("trace_id", ""))
+    assert trace is not None and trace.status == "unknown_fleet"
+
+
+def test_draining_front_end_refuses_plans(front_end):
+    front_end.handle.call(front_end.handle.service.drain())
+    assert front_end.handle.service.draining
+    resp = front_end.plan(1000)
+    assert resp["error"]["code"] == "shutting_down"
+    assert resp["trace_id"]

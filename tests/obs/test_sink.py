@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.obs.sink import FleetTelemetrySink, Observation, StepObservation, size_band
+from repro.obs.sink import FleetTelemetrySink, Observation, size_band
 
 
 class TestSizeBand:
@@ -113,8 +113,7 @@ class TestUnifiedObserve:
     def test_legacy_adapters_share_the_pipeline(self, fresh_obs):
         sink = FleetTelemetrySink()
         sink.observe_step("fp", machine=0, size=10, speed=3.0, time=1.0)
-        assert sink.recent_steps("fp") == [StepObservation(0, 10.0, 3.0, 1.0)]
-        assert sink.recent("fp")[0].speed == 3.0
+        assert sink.recent("fp") == [Observation.from_step(0, 10.0, 3.0, time=1.0)]
 
 
 class TestAggregation:
@@ -162,7 +161,7 @@ class TestAggregation:
         sink.observe_step("fp", machine=0, size=10, speed=1.0)
         sink.clear()
         assert len(sink) == 0
-        assert sink.recent_steps("fp") == []
+        assert sink.recent("fp") == []
 
 
 class TestRecentSteps:
@@ -170,15 +169,15 @@ class TestRecentSteps:
         sink = FleetTelemetrySink(recent_steps=3)
         for i in range(5):
             sink.observe_step("fp", machine=i, size=10, speed=1.0, time=float(i))
-        recent = sink.recent_steps("fp")
+        recent = sink.recent("fp")
         assert [o.machine for o in recent] == [2, 3, 4]
-        assert recent[-1] == StepObservation(4, 10.0, 1.0, 4.0)
-        assert [o.machine for o in sink.recent_steps("fp", limit=2)] == [3, 4]
+        assert recent[-1] == Observation.from_step(4, 10.0, 1.0, time=4.0)
+        assert [o.machine for o in sink.recent("fp", limit=2)] == [3, 4]
 
     def test_zero_cap_keeps_no_raw_steps(self, fresh_obs):
         sink = FleetTelemetrySink(recent_steps=0)
         sink.observe_step("fp", machine=0, size=10, speed=1.0)
-        assert sink.recent_steps("fp") == []
+        assert sink.recent("fp") == []
         assert len(sink) == 1    # the aggregate cell still exists
 
     def test_negative_cap_rejected(self, fresh_obs):

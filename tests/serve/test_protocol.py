@@ -25,6 +25,7 @@ from repro.serve.protocol import (
     fleet_spec_from_speed_functions,
     ok_response,
     parse_request,
+    plan_fields,
     speed_functions_from_fleet_spec,
 )
 
@@ -45,6 +46,17 @@ class TestParseRequest:
         assert isinstance(req, PlanManyRequest)
         assert req.ns == (1, 2, 3)
         assert req.allocation is True
+
+    def test_plan_fields_round_trip(self):
+        assert plan_fields("fp", n=5) == {"fleet": "fp", "n": 5, "allocation": True}
+        trace = {"trace_id": "ab" * 16, "span_id": "cd" * 8}
+        fields = plan_fields("fp", ns=[3, 4.0], timeout_ms=50, allocation=False,
+                             trace=trace, tenant="t", idempotency_key="k")
+        req = parse_request({"op": "plan_many", **fields})
+        assert isinstance(req, PlanManyRequest)
+        assert (req.ns, req.timeout_ms, req.allocation) == ((3, 4), 50.0, False)
+        assert (req.tenant, req.idempotency_key) == ("t", "k")
+        assert req.trace.trace_id == trace["trace_id"]
 
     def test_health_and_stats(self):
         assert isinstance(parse_request({"op": "health", "id": 1}), HealthRequest)
@@ -151,6 +163,17 @@ class TestErrorMapping:
 
 
 class TestFleetSpecs:
+    def test_register_request_spec_keeps_the_fingerprint(self, trio_sfs, trio_spec):
+        req = parse_request(
+            {"op": "register_fleet", "name": "t", "cache_size": 16,
+             "speed_functions": trio_spec["speed_functions"],
+             "options": {"mode": "angle"}}
+        )
+        spec = req.spec()
+        assert (spec["name"], spec["mode"], spec["cache_size"]) == ("t", "angle", 16)
+        rebuilt = Fleet(speed_functions_from_fleet_spec(spec), name="t")
+        assert rebuilt.fingerprint == Fleet(trio_sfs, name="t").fingerprint
+
     def test_spec_round_trip_preserves_fingerprint(self, trio_sfs):
         spec = fleet_spec_from_speed_functions(trio_sfs, name="t")
         rebuilt = Fleet(speed_functions_from_fleet_spec(spec), name="t")
