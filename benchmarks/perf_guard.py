@@ -29,8 +29,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import operator
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
@@ -62,6 +64,38 @@ ADAPTIVE_OVERHEAD_TOLERANCE = 0.02
 P = 1080
 N = 2_000_000_000
 SWEEP = [int(2e8 + i * (1.8e9 / 15)) for i in range(16)]
+
+#: The comparisons a gate fails on: ``value <op> limit``.
+_FAILS_WHEN = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One row of a perf-guard gate table.
+
+    The gate fails when ``value <op> limit``.  ``label`` is the report
+    line printed on every run (``None`` prints nothing unless the gate
+    fails, as for error counts); ``limit=None`` reports without gating;
+    ``message`` is the failure line printed to stderr.
+    """
+
+    label: str | None
+    value: float
+    limit: float | None
+    op: str
+    message: str
+
+
+def evaluate_gates(gates: list[Gate]) -> int:
+    """Print every row of a gate table; 1 if any gate failed, else 0."""
+    status = 0
+    for gate in gates:
+        if gate.label is not None:
+            print(f"perf-guard: {gate.label}")
+        if gate.limit is not None and _FAILS_WHEN[gate.op](gate.value, gate.limit):
+            print(f"perf-guard: FAIL — {gate.message}", file=sys.stderr)
+            status = 1
+    return status
 
 
 def _best_of(fn, *, repeats: int = 3) -> float:
@@ -210,7 +244,7 @@ def check_adaptive_overhead(
         },
     }
 
-    status = 0
+    gates = []
     gc.collect()
     gc.disable()
     try:
@@ -239,23 +273,17 @@ def check_adaptive_overhead(
                 setattr(case["module"], case["attr"], real)
 
             ratio = wrapper_s / plain_s
-            print(
-                f"perf-guard: adaptive-off {name} wrapper "
-                f"{format_seconds(wrapper_s)} on a "
+            gates.append(Gate(
+                f"adaptive-off {name} wrapper {format_seconds(wrapper_s)} on a "
                 f"{format_seconds(plain_s)} plain call = "
-                f"{ratio:.2%} overhead (limit {tolerance:.0%})"
-            )
-            if ratio > tolerance:
-                print(
-                    f"perf-guard: FAIL — disabled-adaptation {name} wrapper "
-                    f"adds {ratio:.1%} over the plain simulator "
-                    f"(tolerance {tolerance:.0%})",
-                    file=sys.stderr,
-                )
-                status = 1
+                f"{ratio:.2%} overhead (limit {tolerance:.0%})",
+                ratio, tolerance, ">",
+                f"disabled-adaptation {name} wrapper adds {ratio:.1%} over "
+                f"the plain simulator (tolerance {tolerance:.0%})",
+            ))
     finally:
         gc.enable()
-    return status
+    return evaluate_gates(gates)
 
 
 def check_serve_tracing() -> int:
@@ -284,7 +312,7 @@ def check_serve_tracing() -> int:
     recorder = FlightRecorder(capacity=256)
     sink = FleetTelemetrySink()
 
-    status = 0
+    gates = []
     cases = [
         (
             "tracing-on",
@@ -307,19 +335,15 @@ def check_serve_tracing() -> int:
         serve_s = _measure_served_request(fleet, tracing=tracing)
         budget_s = budget_fn()
         ratio = budget_s / serve_s
-        print(
-            f"perf-guard: serve {name} budget {format_seconds(budget_s)} on a "
+        gates.append(Gate(
+            f"serve {name} budget {format_seconds(budget_s)} on a "
             f"{format_seconds(serve_s)} served p={P} plan = "
-            f"{ratio:.2%} overhead (limit {limit:.0%})"
-        )
-        if ratio > limit:
-            print(
-                f"perf-guard: FAIL — serve {name} path costs {ratio:.1%} of "
-                f"a served request (limit {limit:.0%})",
-                file=sys.stderr,
-            )
-            status = 1
-    return status
+            f"{ratio:.2%} overhead (limit {limit:.0%})",
+            ratio, limit, ">",
+            f"serve {name} path costs {ratio:.1%} of a served request "
+            f"(limit {limit:.0%})",
+        ))
+    return evaluate_gates(gates)
 
 
 def check_online_refit() -> int:
@@ -358,38 +382,28 @@ def check_cluster() -> int:
     r = measure_cluster_throughput()
     overhead = 1.0 - r["routed_single"] / r["direct_single"]
     gap = 1.0 - r["routed_aggregate"] / r["direct_aggregate"]
-    status = 0
-    print(
-        f"perf-guard: cluster single-fleet {r['routed_single']:.0f} routed vs "
-        f"{r['direct_single']:.0f} direct plans/s = {overhead:.1%} router "
-        f"overhead (limit {ROUTER_OVERHEAD_LIMIT:.0%})"
-    )
-    if overhead >= ROUTER_OVERHEAD_LIMIT:
-        print(
-            f"perf-guard: FAIL — router overhead {overhead:.1%} at p={r['p']} "
+    return evaluate_gates([
+        Gate(
+            f"cluster single-fleet {r['routed_single']:.0f} routed vs "
+            f"{r['direct_single']:.0f} direct plans/s = {overhead:.1%} router "
+            f"overhead (limit {ROUTER_OVERHEAD_LIMIT:.0%})",
+            overhead, ROUTER_OVERHEAD_LIMIT, ">=",
+            f"router overhead {overhead:.1%} at p={r['p']} "
             f"c={r['concurrency']} (limit {ROUTER_OVERHEAD_LIMIT:.0%})",
-            file=sys.stderr,
-        )
-        status = 1
-    print(
-        f"perf-guard: cluster aggregate {r['routed_aggregate']:.0f} routed vs "
-        f"{r['direct_aggregate']:.0f} direct plans/s = {gap:.1%} below "
-        f"aggregate node capacity (limit {AGGREGATE_GAP_LIMIT:.0%})"
-    )
-    if gap >= AGGREGATE_GAP_LIMIT:
-        print(
-            f"perf-guard: FAIL — routed aggregate trails the nodes' own "
-            f"capacity by {gap:.1%} (limit {AGGREGATE_GAP_LIMIT:.0%})",
-            file=sys.stderr,
-        )
-        status = 1
-    if r["errors"]:
-        print(
-            f"perf-guard: FAIL — cluster loads saw {r['errors']} errors",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
+        ),
+        Gate(
+            f"cluster aggregate {r['routed_aggregate']:.0f} routed vs "
+            f"{r['direct_aggregate']:.0f} direct plans/s = {gap:.1%} below "
+            f"aggregate node capacity (limit {AGGREGATE_GAP_LIMIT:.0%})",
+            gap, AGGREGATE_GAP_LIMIT, ">=",
+            f"routed aggregate trails the nodes' own capacity by {gap:.1%} "
+            f"(limit {AGGREGATE_GAP_LIMIT:.0%})",
+        ),
+        Gate(
+            None, r["errors"], 0, ">",
+            f"cluster loads saw {r['errors']} errors",
+        ),
+    ])
 
 
 def check_multitenant() -> int:
@@ -415,41 +429,33 @@ def check_multitenant() -> int:
     r = measure_multitenant()
     ratio = r["mixed_p99"] / r["solo_p99"]
     overhead = r["tenancy_budget_seconds"] / r["served_seconds"]
-    status = 0
-    print(
-        f"perf-guard: tenancy light p99 {format_seconds(r['mixed_p99'])} "
-        f"under {HEAVY_SKEW}:1 skew vs {format_seconds(r['solo_p99'])} solo "
-        f"= {ratio:.1f}x (limit {TENANT_P99_LIMIT:.0f}x)"
+    idle_message = (
+        f"idle tenancy costs {overhead:.1%} of a served request with "
+        f"{r['overhead_errors']} probe errors "
+        f"(limit {TENANT_IDLE_OVERHEAD_LIMIT:.0%})"
     )
-    if ratio > TENANT_P99_LIMIT:
-        print(
-            f"perf-guard: FAIL — light-tenant p99 degrades {ratio:.1f}x "
-            f"under {HEAVY_SKEW}:1 skew (limit {TENANT_P99_LIMIT:.0f}x)",
-            file=sys.stderr,
-        )
-        status = 1
-    if r["light_lost"]:
-        print(
-            f"perf-guard: FAIL — light tenant lost {r['light_lost']} "
-            f"requests under skew: {r['light_errors']}",
-            file=sys.stderr,
-        )
-        status = 1
-    print(
-        f"perf-guard: tenancy idle budget "
-        f"{format_seconds(r['tenancy_budget_seconds'])} on a "
-        f"{format_seconds(r['served_seconds'])} served request = "
-        f"{overhead:.2%} overhead (limit {TENANT_IDLE_OVERHEAD_LIMIT:.0%})"
-    )
-    if r["overhead_errors"] or overhead >= TENANT_IDLE_OVERHEAD_LIMIT:
-        print(
-            f"perf-guard: FAIL — idle tenancy costs {overhead:.1%} of a "
-            f"served request with {r['overhead_errors']} probe errors "
-            f"(limit {TENANT_IDLE_OVERHEAD_LIMIT:.0%})",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
+    return evaluate_gates([
+        Gate(
+            f"tenancy light p99 {format_seconds(r['mixed_p99'])} under "
+            f"{HEAVY_SKEW}:1 skew vs {format_seconds(r['solo_p99'])} solo "
+            f"= {ratio:.1f}x (limit {TENANT_P99_LIMIT:.0f}x)",
+            ratio, TENANT_P99_LIMIT, ">",
+            f"light-tenant p99 degrades {ratio:.1f}x under {HEAVY_SKEW}:1 "
+            f"skew (limit {TENANT_P99_LIMIT:.0f}x)",
+        ),
+        Gate(
+            None, r["light_lost"], 0, ">",
+            f"light tenant lost {r['light_lost']} requests under skew: "
+            f"{r['light_errors']}",
+        ),
+        Gate(
+            f"tenancy idle budget {format_seconds(r['tenancy_budget_seconds'])} "
+            f"on a {format_seconds(r['served_seconds'])} served request = "
+            f"{overhead:.2%} overhead (limit {TENANT_IDLE_OVERHEAD_LIMIT:.0%})",
+            overhead, TENANT_IDLE_OVERHEAD_LIMIT, ">=", idle_message,
+        ),
+        Gate(None, r["overhead_errors"], 0, ">", idle_message),
+    ])
 
 
 def check_compiled_speedups(speedups: dict) -> int:
@@ -461,25 +467,19 @@ def check_compiled_speedups(speedups: dict) -> int:
     reported for context but gated only by the baseline above, which it
     dominates).
     """
-    status = 0
+    gates = []
     for name, r in speedups.items():
         gated = name in ("step", "rescaled")
-        print(
-            f"perf-guard: compiled {name} fleet "
-            f"{format_seconds(r['compiled_seconds'])} vs per-object "
-            f"{format_seconds(r['per_object_seconds'])} = "
+        gates.append(Gate(
+            f"compiled {name} fleet {format_seconds(r['compiled_seconds'])} "
+            f"vs per-object {format_seconds(r['per_object_seconds'])} = "
             f"{r['speedup']:.1f}x"
-            + (f" (floor {MIN_COMPILED_SPEEDUP:.0f}x)" if gated else "")
-        )
-        if gated and r["speedup"] < MIN_COMPILED_SPEEDUP:
-            print(
-                f"perf-guard: FAIL — compiled {name} fleet is only "
-                f"{r['speedup']:.1f}x the per-object oracle "
-                f"(floor {MIN_COMPILED_SPEEDUP:.0f}x)",
-                file=sys.stderr,
-            )
-            status = 1
-    return status
+            + (f" (floor {MIN_COMPILED_SPEEDUP:.0f}x)" if gated else ""),
+            r["speedup"], MIN_COMPILED_SPEEDUP if gated else None, "<",
+            f"compiled {name} fleet is only {r['speedup']:.1f}x the "
+            f"per-object oracle (floor {MIN_COMPILED_SPEEDUP:.0f}x)",
+        ))
+    return evaluate_gates(gates)
 
 
 def _write_baseline(baseline_path: Path, solve_s: float, calib_s: float) -> None:

@@ -16,8 +16,8 @@ for.  This module adds the classic cache-aside second tier:
 * :class:`TieredPlanCache` — a drop-in :class:`PlanCache` subclass doing
   **read-through** (an L1 miss consults the store — one round trip in
   process pools — and promotes the hit back into the LRU) and
-  **write-behind** (inserts are mirrored to the store from a background
-  writer thread, so a solve never waits on a store *write*).
+  **write-through** (an insert reaches the store before ``put``
+  returns — again one round trip in process pools).
 
 Plans are pure functions of ``(fingerprint, n, algorithm, refine,
 mode)`` — the :class:`~repro.planner.planner.Planner` key — so sharing
@@ -25,15 +25,14 @@ them across workers can never serve a wrong answer, only a warmer one;
 the stored value is the bit-identical :class:`PartitionResult` minus its
 ``region`` bracket (heavy, and only useful to the worker that solved
 it).  :meth:`TieredPlanCache.invalidate` keeps the exact-invalidation
-contract two-tier: it flushes pending write-behinds first (so a retired
-plan cannot be resurrected by a late mirror), then drops the fingerprint
-from both tiers and *only* that fingerprint.  The return value remains
-the L1 count — existing callers keep their arithmetic.
+contract two-tier: it drops the fingerprint from both tiers and *only*
+that fingerprint.  Nothing is ever queued, so no write can land after
+the drop.  The return value remains the L1 count — existing callers
+keep their arithmetic.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from dataclasses import replace
 from multiprocessing.managers import BaseManager, BaseProxy
@@ -47,10 +46,6 @@ __all__ = ["TieredPlanCache", "WarmPlanStore"]
 
 #: Default bound on warm-store entries (FIFO beyond it).
 _DEFAULT_STORE_SIZE = 4096
-
-#: Bound on queued write-behind mirrors; beyond it writes are dropped
-#: (and counted) rather than ever blocking a solve.
-_WRITE_QUEUE_DEPTH = 512
 
 #: What a proxy call raises once its manager has shut down: a closed or
 #: reset connection (``ConnectionError`` covers ``BrokenPipeError``) or
@@ -201,18 +196,13 @@ WarmStoreManager.register(
 )
 
 
-#: Writer-queue control messages.
-_FLUSH = object()
-
-
 class TieredPlanCache(PlanCache):
-    """:class:`PlanCache` with a read-through / write-behind warm tier.
+    """:class:`PlanCache` with a read-through / write-through warm tier.
 
     Lookup misses consult the shared :class:`WarmPlanStore` and promote
     hits into the LRU (counted as ``planner.cache.warm_hits``; the L1
     miss still counts as a miss, so L1 hit-rate math is unchanged).
-    Inserts mirror to the store via a daemon writer thread; a full
-    writer queue drops the mirror (``warm_drops``) instead of blocking.
+    Inserts are written to the store before :meth:`put` returns.
     """
 
     def __init__(
@@ -236,23 +226,11 @@ class TieredPlanCache(PlanCache):
             labels=labels,
             help="plans mirrored to the warm tier",
         )
-        self._warm_drops = registry.counter(
-            "planner.cache.warm_drops",
-            labels=labels,
-            help="write-behind mirrors dropped on a full writer queue",
-        )
         self._warm_invalidations = registry.counter(
             "planner.cache.warm_invalidations",
             labels=labels,
             help="warm-tier entries dropped by explicit invalidation",
         )
-        self._writes: queue.Queue = queue.Queue(maxsize=_WRITE_QUEUE_DEPTH)
-        self._writer = threading.Thread(
-            target=self._write_loop,
-            name=f"repro-warm-writer-{self.name}",
-            daemon=True,
-        )
-        self._writer.start()
 
     # -- tiering --------------------------------------------------------
     def get(self, key: Hashable) -> Any | None:
@@ -268,47 +246,15 @@ class TieredPlanCache(PlanCache):
 
     def put(self, key: Hashable, value: Any) -> None:
         super().put(key, value)
-        try:
-            self._writes.put_nowait((key, _strip(value)))
-        except queue.Full:
-            self._warm_drops.inc()
+        self._store.put(key, _strip(value))
+        self._warm_writes.inc()
 
     def invalidate(self, fingerprint: Hashable) -> int:
-        # Flush first: a queued mirror of a just-retired plan must not
-        # resurrect it in the store after the drop below.
-        self.flush()
         count = super().invalidate(fingerprint)
         dropped = self._store.invalidate(fingerprint)
         if dropped:
             self._warm_invalidations.inc(dropped)
         return count
-
-    # -- write-behind machinery -----------------------------------------
-    def _write_loop(self) -> None:
-        while True:
-            job = self._writes.get()
-            if job is None:
-                return
-            if isinstance(job, tuple) and job[0] is _FLUSH:
-                job[1].set()
-                continue
-            key, value = job
-            self._store.put(key, value)
-            self._warm_writes.inc()
-
-    def flush(self, timeout: float = 10.0) -> bool:
-        """Block until every mirror queued so far has reached the store."""
-        if not self._writer.is_alive():
-            return False
-        done = threading.Event()
-        self._writes.put((_FLUSH, done))
-        return done.wait(timeout)
-
-    def close(self) -> None:
-        """Stop the writer thread (pending mirrors are written first)."""
-        if self._writer.is_alive():
-            self._writes.put(None)
-            self._writer.join(timeout=10.0)
 
     # -- introspection --------------------------------------------------
     @property
@@ -320,7 +266,6 @@ class TieredPlanCache(PlanCache):
         return {
             "hits": self._warm_hits.value,
             "writes": self._warm_writes.value,
-            "drops": self._warm_drops.value,
             "invalidations": self._warm_invalidations.value,
             "entries": len(self._store),
         }

@@ -18,13 +18,17 @@ queries costs roughly one warm solve plus k−1 bracket repairs instead of
 k independent solves.  ``plan_many`` requests are already batches and
 bypass the window.
 
-**Admission control.**  Shard inboxes are bounded; when the owning
-shard's queue is full the whole flushed batch is shed immediately with
-``overloaded`` item responses — queue depth, not latency, is the
-backpressure signal.  Requests carry optional deadlines which workers
-check at dequeue time, so a backlog never wastes solves on expired work.
-During drain, new requests are refused with ``shutting_down`` while
-every in-flight batch completes.
+**Admission control.**  ``plan`` and ``plan_many`` share one admission
+body: drain check, unknown fleet, idempotency window, tenant quota, then
+the window or the shard.  A keyed retry replays its remembered response:
+no second quota charge, and no re-solve on a model refitted since.
+Shard inboxes are bounded; when the owning shard's queue is full the
+whole flushed batch is shed immediately with ``overloaded`` item
+responses — queue depth, not latency, is the backpressure signal.
+Requests carry optional deadlines which workers check at dequeue time,
+so a backlog never wastes solves on expired work.  During drain, new
+requests are refused with ``shutting_down`` while every in-flight batch
+completes.
 
 All of it is observable: per-op request counters and latency histograms,
 batch-size histograms, shed counters and queue-depth gauges land in the
@@ -63,7 +67,7 @@ from .protocol import (
     fleet_spec_from_speed_functions,
     speed_functions_from_fleet_spec,
 )
-from .shard import ShardPool
+from .shard import ShardPool, _item_error
 from .tenancy import QuotaManager, TenancyConfig
 
 __all__ = ["OnlineRefitConfig", "ServeConfig", "PlanningService"]
@@ -162,11 +166,9 @@ class ServeConfig(FrontEndConfig):
         per server for ``idempotency_key`` dedup (0 disables).  Within
         the window a retried key returns the original response without a
         second solve; concurrent duplicates coalesce onto one solve.
-    warm_tier / warm_tier_size:
-        Keep a pool-wide warm plan store behind every shard's LRU (see
-        :class:`~repro.planner.tiered.TieredPlanCache`), so shard
-        restarts and rebalances re-warm instead of cold-starting;
-        ``warm_tier_size`` bounds its entries.
+    warm_tier_size:
+        Entry bound of the pool-wide warm plan store behind every shard's
+        LRU (:class:`~repro.planner.tiered.TieredPlanCache`).
     """
 
     shards: int = 2
@@ -179,7 +181,6 @@ class ServeConfig(FrontEndConfig):
     online_refit: OnlineRefitConfig | None = None
     tenancy: TenancyConfig | None = None
     idempotency_window: int = 1024
-    warm_tier: bool = True
     warm_tier_size: int = 4096
 
 
@@ -322,10 +323,6 @@ class _RefitState:
         self.invalidated = 0      # cached plans dropped by those refits
 
 
-def _item_error(code: str, message: str) -> dict:
-    return {"ok": False, "code": code, "message": message}
-
-
 class PlanningService(FrontEnd):
     """Async service answering protocol requests over a shard pool.
 
@@ -387,7 +384,6 @@ class PlanningService(FrontEnd):
             cfg.shards,
             mode=cfg.worker_mode,
             queue_depth=cfg.queue_depth,
-            warm_tier=cfg.warm_tier,
             warm_tier_size=cfg.warm_tier_size,
         )
         logger.info(
@@ -438,7 +434,9 @@ class PlanningService(FrontEnd):
         which must arrive at the *same* fingerprint (the protocol's JSON
         records preserve knot content exactly).  Re-registering an
         existing fingerprint is idempotent unless the planner options
-        changed, in which case the shard's planner is rebuilt.
+        changed, in which case the shard's planner is rebuilt.  The spec
+        kept for that comparison is the registered one, never a refitted
+        one, so the same spec again keeps a refitted model in place.
         """
         if self._draining:
             raise ProtocolError("shutting_down", "the service is draining")
@@ -554,51 +552,12 @@ class PlanningService(FrontEnd):
         ``tenant`` selects the fair-queueing lane and quota bucket;
         ``idempotency_key`` dedups retries within the server's window.
         """
-        if self._draining:
-            return _item_error("shutting_down", "the service is draining")
-        if fingerprint not in self._fleets:
-            return _item_error(
-                "unknown_fleet", f"fleet {fingerprint!r} is not registered"
-            )
-        assert self._loop is not None
-        idem_key = None
-        if idempotency_key is not None and self._idem.enabled:
-            idem_key = (fingerprint, "plan", tenant, idempotency_key)
-            found = self._idem.lookup(idem_key)
-            if found is not None:
-                kind, value = found
-                if kind == "pending":
-                    value = await value
-                return copy.deepcopy(value)
-        throttled = self._throttle(tenant, 1.0)
-        if throttled is not None:
-            return throttled
-        if idem_key is not None:
-            self._idem.reserve(idem_key, self._loop)
-        pending = _Pending(
-            int(n), self._deadline_for(timeout_ms), allocation,
-            self._loop.create_future(), trace, span,
+        (item,) = await self._admit(
+            "plan", fingerprint, [n], timeout_ms=timeout_ms,
+            allocation=allocation, trace=trace, span=span, tenant=tenant,
+            idempotency_key=idempotency_key,
         )
-        key = (fingerprint, tenant)
-        state = self._batches.get(key)
-        if state is None:
-            state = _BatchState()
-            self._batches[key] = state
-            state.timer = self._loop.call_later(
-                self._config.batch_window, self._flush, key
-            )
-        state.items.append(pending)
-        if len(state.items) >= self._config.max_batch:
-            self._flush(key)
-        item = _item_error("internal", "plan future abandoned")
-        try:
-            item = await pending.future
-            return item
-        finally:
-            if idem_key is not None:
-                self._idem.complete(
-                    idem_key, copy.deepcopy(item), ok=bool(item.get("ok"))
-                )
+        return item
 
     async def plan_many(
         self,
@@ -613,37 +572,68 @@ class PlanningService(FrontEnd):
         idempotency_key: str | None = None,
     ) -> list[dict]:
         """A caller-assembled batch: dispatched directly, no window."""
+        return await self._admit(
+            "plan_many", fingerprint, ns, timeout_ms=timeout_ms,
+            allocation=allocation, trace=trace, span=span, tenant=tenant,
+            idempotency_key=idempotency_key,
+        )
+
+    async def _admit(
+        self, op: str, fingerprint: str, sizes: Sequence[int], *,
+        timeout_ms: float | None, allocation: bool, trace: TraceContext | None,
+        span: Span | None, tenant: str, idempotency_key: str | None,
+    ) -> list[dict]:
+        """The admission body of :meth:`plan` and :meth:`plan_many`.
+
+        Drain check, unknown fleet, idempotency lookup, quota, reserve,
+        dispatch, await, complete; one item per size.  ``op`` scopes the
+        idempotency key; a ``plan`` joins its ``(fingerprint, tenant)``
+        batching window, a ``plan_many`` goes straight to its shard.
+        """
         if self._draining:
-            return [_item_error("shutting_down", "the service is draining")] * len(ns)
+            return [_item_error("shutting_down", "the service is draining")
+                    for _ in sizes]
         if fingerprint not in self._fleets:
-            return [
-                _item_error("unknown_fleet", f"fleet {fingerprint!r} is not registered")
-            ] * len(ns)
+            message = f"fleet {fingerprint!r} is not registered"
+            return [_item_error("unknown_fleet", message) for _ in sizes]
         assert self._loop is not None
         idem_key = None
         if idempotency_key is not None and self._idem.enabled:
-            idem_key = (fingerprint, "plan_many", tenant, idempotency_key)
+            idem_key = (fingerprint, op, tenant, idempotency_key)
             found = self._idem.lookup(idem_key)
             if found is not None:
                 kind, value = found
                 if kind == "pending":
                     value = await value
                 return copy.deepcopy(value)
-        throttled = self._throttle(tenant, float(len(ns)))
+        throttled = self._throttle(tenant, float(len(sizes)))
         if throttled is not None:
-            return [dict(throttled) for _ in ns]
+            return [dict(throttled) for _ in sizes]
         if idem_key is not None:
             self._idem.reserve(idem_key, self._loop)
         deadline = self._deadline_for(timeout_ms)
         pendings = [
             _Pending(int(n), deadline, allocation, self._loop.create_future(),
                      trace, span)
-            for n in ns
+            for n in sizes
         ]
-        self._dispatch((fingerprint, tenant), pendings)
-        items = [_item_error("internal", "plan future abandoned")] * len(ns)
+        key = (fingerprint, tenant)
+        if op == "plan_many":
+            self._dispatch(key, pendings)
+        else:
+            state = self._batches.get(key)
+            if state is None:
+                state = _BatchState()
+                self._batches[key] = state
+                state.timer = self._loop.call_later(
+                    self._config.batch_window, self._flush, key
+                )
+            state.items.extend(pendings)
+            if len(state.items) >= self._config.max_batch:
+                self._flush(key)
+        items = [_item_error("internal", "plan future abandoned") for _ in sizes]
         try:
-            items = list(await asyncio.gather(*(p.future for p in pendings)))
+            items = [await p.future for p in pendings]
             return items
         finally:
             if idem_key is not None:
@@ -795,17 +785,12 @@ class PlanningService(FrontEnd):
             if not refit.changed:
                 return None
             entry = self._fleets[fingerprint]
-            old_spec = entry["spec"]
-            spec = fleet_spec_from_speed_functions(
-                refit.functions,
-                name=old_spec.get("name", ""),
-                algorithm=old_spec.get("algorithm", "bisection"),
-                options=PartitionOptions(
-                    mode=old_spec.get("mode", PartitionOptions().mode),
-                    refine=old_spec.get("refine", PartitionOptions().refine),
-                ),
-                cache_size=int(old_spec.get("cache_size", 1024)),
-            )
+            spec = {
+                **entry["spec"],
+                "speed_functions": fleet_spec_from_speed_functions(
+                    refit.functions
+                )["speed_functions"],
+            }
             future = self.pool.refit(
                 fingerprint, spec, old_fingerprint=state.model_fingerprint
             )
@@ -832,7 +817,6 @@ class PlanningService(FrontEnd):
                 name=entry["info"].get("name") or "online-refit",
             )
             entry["info"]["model_fingerprint"] = refit.fingerprint_after
-            entry["spec"] = dict(spec)
             self._sink.clear_recent(fingerprint)
             logger.info(
                 "fleet model refitted",

@@ -40,7 +40,8 @@ Two durability features ride on the same structure:
   a plain locked dict; process pools host it in a
   :class:`~repro.planner.tiered.WarmStoreManager` server the pool
   starts, and workers reach it through a proxy at one round trip per
-  store operation;
+  store operation.  Every plan a worker solves is written through to
+  the store before the batch answers;
 * :meth:`ShardPool.restart_shard` recycles one worker in place — an
   urgent exit marker overtakes the queued backlog, the replacement
   re-registers the shard's fleet specs and drains the *same* inbox, and
@@ -106,13 +107,13 @@ def _item_error(code: str, message: str) -> dict:
     return {"ok": False, "code": code, "message": message}
 
 
-def _build_planner(spec: Mapping, warm: WarmPlanStore | None):
+def _build_planner(spec: Mapping, warm: WarmPlanStore):
     """One shard-local planner (and its fleet) from a wire spec.
 
-    With a shared warm store the planner gets a
-    :class:`~repro.planner.tiered.TieredPlanCache` in front of it, so a
-    freshly (re)built worker re-warms from plans its predecessors — or
-    sibling processes — already solved.
+    The planner's :class:`~repro.planner.tiered.TieredPlanCache` sits in
+    front of the pool's shared warm store, so a freshly (re)built worker
+    re-warms from plans its predecessors — or sibling processes —
+    already solved.
     """
     # Imported here (not at module top) so a spawned child pays the import
     # once and fork-mode children reuse the parent's modules either way.
@@ -121,35 +122,22 @@ def _build_planner(spec: Mapping, warm: WarmPlanStore | None):
     sfs = speed_functions_from_fleet_spec(spec)
     fleet = Fleet(sfs, name=spec.get("name") or None)
     cache_size = int(spec.get("cache_size", 1024))
-    cache = (
-        None
-        if warm is None
-        else TieredPlanCache(cache_size, warm=warm)
-    )
     planner = Planner(
         fleet,
         algorithm=spec.get("algorithm", "bisection"),
         mode=spec.get("mode", "tangent"),
         refine=spec.get("refine", "greedy"),
         cache_size=cache_size,
-        cache=cache,
+        cache=TieredPlanCache(cache_size, warm=warm),
     )
     return fleet, planner
-
-
-def _close_caches(planners: Mapping) -> None:
-    """Stop the tiered caches' writer threads on worker exit/restart."""
-    for planner in planners.values():
-        cache = planner.cache
-        if isinstance(cache, TieredPlanCache):
-            cache.close()
 
 
 def worker_loop(
     shard_id: int,
     inbox,
     outbox,
-    warm: WarmPlanStore | None = None,
+    warm: WarmPlanStore,
     initial_specs: Sequence[tuple[str, Mapping]] = (),
 ) -> None:
     """One shard's request loop (runs in a thread or a child process).
@@ -159,7 +147,7 @@ def worker_loop(
     All fleet state — planners, capacities — is local to this function
     invocation, so nothing here needs a lock.
 
-    ``warm`` is the pool's shared plan store (may be ``None``);
+    ``warm`` is the pool's shared plan store;
     ``initial_specs`` is the ``(serving fingerprint, spec)`` list a
     *restarted* worker re-registers before touching the queue, so jobs
     that survived its predecessor in the inbox still find their fleets.
@@ -181,14 +169,12 @@ def worker_loop(
     while True:
         msg = inbox.get()
         if msg is None:
-            _close_caches(planners)
             outbox.put((_SHARD_EXIT, shard_id))
             return
         kind, job_id = msg[0], msg[1]
         if kind == _KIND_EXIT:
             # Restart marker: leave quietly — a replacement worker owns
             # the inbox next, so the collector's exit count must not move.
-            _close_caches(planners)
             return
         try:
             if kind == _KIND_REGISTER:
@@ -256,8 +242,6 @@ def worker_loop(
                 refit_invalidations[serving_fp] = (
                     refit_invalidations.get(serving_fp, 0) + invalidated
                 )
-                if isinstance(old_planner.cache, TieredPlanCache):
-                    old_planner.cache.close()
                 fleet, planner = _build_planner(spec, warm)
                 planners[serving_fp] = planner
                 capacities[serving_fp] = fleet.capacity
@@ -290,9 +274,8 @@ def worker_loop(
                         "cache_invalidations": stats.cache.invalidations
                         + refit_invalidations.get(fp, 0),
                         "cache_size": stats.cache.size,
+                        "warm": planner.cache.warm_stats(),
                     }
-                    if isinstance(planner.cache, TieredPlanCache):
-                        fleets[fp]["warm"] = planner.cache.warm_stats()
                 outbox.put((job_id, {"ok": True, "shard": shard_id, "fleets": fleets}))
             else:
                 outbox.put((job_id, _item_error("internal", f"unknown job kind {kind!r}")))
@@ -477,12 +460,10 @@ class ShardPool:
         Per-shard, **per-tenant** inbox bound, in *jobs* (a job is one
         coalesced batch).  This is the admission limit: a tenant's
         submissions beyond it are shed; other tenants are unaffected.
-    warm_tier:
-        Keep a pool-wide :class:`~repro.planner.tiered.WarmPlanStore`
-        behind every shard's plan cache (on by default), so restarts and
-        rebalances re-warm instead of cold-starting.
     warm_tier_size:
-        Entry bound of that shared store.
+        Entry bound of the pool-wide
+        :class:`~repro.planner.tiered.WarmPlanStore` behind every
+        shard's plan cache.
     """
 
     def __init__(
@@ -491,7 +472,6 @@ class ShardPool:
         *,
         mode: str = "thread",
         queue_depth: int = 128,
-        warm_tier: bool = True,
         warm_tier_size: int = 4096,
     ):
         if shards <= 0:
@@ -533,7 +513,7 @@ class ShardPool:
         )
 
         if mode == "thread":
-            self._warm = WarmPlanStore.local(warm_tier_size) if warm_tier else None
+            self._warm = WarmPlanStore.local(warm_tier_size)
             self._inboxes: list[_ShardInbox] = [
                 _ShardInbox(i, queue_depth) for i in range(shards)
             ]
@@ -542,12 +522,9 @@ class ShardPool:
         else:
             ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
             self._ctx = ctx
-            if warm_tier:
-                self._manager = WarmStoreManager(ctx=ctx)
-                self._manager.start()
-                self._warm = WarmPlanStore.shared(self._manager, warm_tier_size)
-            else:
-                self._warm = None
+            self._manager = WarmStoreManager(ctx=ctx)
+            self._manager.start()
+            self._warm = WarmPlanStore.shared(self._manager, warm_tier_size)
             self._inboxes = [
                 _ShardInbox(i, queue_depth, transport=ctx.Queue(maxsize=1))
                 for i in range(shards)
@@ -801,8 +778,6 @@ class ShardPool:
 
     def warm_tier_stats(self) -> dict:
         """Pool-level view of the shared warm store (for ``stats``)."""
-        if self._warm is None:
-            return {"enabled": False, "entries": 0}
         return {
             "enabled": True,
             "entries": len(self._warm),
@@ -810,7 +785,7 @@ class ShardPool:
         }
 
     @property
-    def warm_store(self) -> WarmPlanStore | None:
+    def warm_store(self) -> WarmPlanStore:
         return self._warm
 
     def tenant_backlogs(self) -> dict[str, int]:

@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-import time
 import urllib.request
 
 import numpy as np
@@ -190,9 +189,10 @@ def _span_names(base: str, trace_id: str) -> set:
 def _overflow_warm_tier(client, fingerprint, sfs, reference, bound: int) -> int:
     """Serve ``2 * bound`` fresh sizes through a ``bound``-entry warm tier.
 
-    Every plan is checked by :func:`_check_plan` while the store evicts;
-    once the write-behind mirrors have landed, the store must hold
-    exactly ``bound`` entries.  Returns the number of failed checks.
+    Every plan is checked by :func:`_check_plan` while the store evicts.
+    Plans are written through before a batch answers, so right after the
+    last ``plan_many`` returns the store must hold exactly ``bound``
+    entries.  Returns the number of failed checks.
     """
     failures = 0
     rng = np.random.default_rng(1)
@@ -201,12 +201,7 @@ def _overflow_warm_tier(client, fingerprint, sfs, reference, bound: int) -> int:
         chunk = sizes[start:start + 16]
         for n, item in zip(chunk, client.plan_many(fingerprint, chunk)):
             failures += _check_plan(item, n, reference, sfs)
-    entries, deadline = -1, time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        entries = client.stats()["tenancy"]["warm_tier"]["entries"]
-        if entries >= bound:
-            break
-        time.sleep(0.05)
+    entries = client.stats()["tenancy"]["warm_tier"]["entries"]
     print(f"serve-smoke: {len(sizes)} fresh sizes through a {bound}-entry "
           f"warm tier -> {entries} entries")
     if entries != bound:

@@ -16,9 +16,11 @@ import pytest
 
 from repro.cluster import RouterConfig, start_thread_node
 from repro.planner import Fleet, Planner
+from repro.serve import OnlineRefitConfig
 from repro.serve.client import ServeClient, run_load
 from tests.conftest import make_pwl
 from tests.cluster.conftest import cluster_poll_until as poll_until
+from tests.serve.test_online_refit import drift_steps, drifted
 
 SIZES = [900, 2_400, 5_600, 11_000, 23_000]
 
@@ -108,6 +110,26 @@ class TestFallback:
             client.plan(fp, 1234)
         fallback = cluster_obs.get_registry().counter("cluster.route.fallback")
         assert fallback.value == 1
+
+
+class TestResync:
+    def test_resync_after_a_refit_keeps_the_refitted_plan(self, cluster):
+        """A recovered node is re-registered with the fleet's original spec;
+        that must not revert the model the node refitted from telemetry."""
+        fns = [make_pwl(200.0), make_pwl(300.0)]
+        booted = cluster(
+            1, batch_window=0.0,
+            online_refit=OnlineRefitConfig(min_observations=20, min_escaped=3),
+        )
+        node_id = booted.nodes[0].node_id
+        with ServeClient(booted.host, booted.port) as client:
+            fp = register(client, fns, name="drifting")
+            assert client.observe(fp, drift_steps(0, drifted(fns[0])))["refit"]
+            refitted = client.plan(fp, 700_000)
+            assert booted.router.call(booted.router.service._resync_node(node_id)) == 1
+            again = client.plan(fp, 700_000)
+        assert again["allocation"] == refitted["allocation"]
+        assert again["makespan"] == refitted["makespan"]
 
 
 class TestResharding:

@@ -11,6 +11,11 @@ afresh — and, plans being deterministic, still answers bit-identically.
 Proof of "exactly once" is counter-based, not timing-based: the obs
 registry's ``serve.idempotent.*`` counters and the per-shard planner
 cold/warm solve counts must add up.
+
+Two behaviours set the window apart from the plan caches below it, and
+are why it exists: a keyed replay is not charged quota again, and a
+keyed replay returns the plan it first answered even after an online
+refit changed the fleet's model.
 """
 
 from __future__ import annotations
@@ -19,9 +24,12 @@ import threading
 
 import pytest
 
-from repro.serve import ServeClient
+from repro.serve import OnlineRefitConfig, ServeClient, ServeError
+from repro.serve.tenancy import TenancyConfig, TenantQuota
+from tests.conftest import make_pwl
 
 from .conftest import poll_until
+from .test_online_refit import drift_steps, drifted
 
 
 def _register(client, trio_sfs):
@@ -193,3 +201,36 @@ def test_concurrent_duplicates_across_worker_modes(start_server, trio_sfs, mode)
         assert all(r == results[0] for r in results) and results[0] is not None
         idem = admin.stats()["tenancy"]["idempotency"]
         assert idem["misses"] == 1, idem
+
+
+def test_keyed_replay_is_not_charged_quota(start_server, trio_sfs):
+    """A one-token bucket pays for the first keyed plan only: its replay
+    still answers, while an unkeyed second plan is throttled."""
+    handle = start_server(
+        shards=1, batch_window=0.0,
+        tenancy=TenancyConfig(default=TenantQuota(rate=0.001, burst=1)),
+    )
+    with ServeClient(handle.host, handle.port) as client:
+        fingerprint = _register(client, trio_sfs)
+        first = client.plan(fingerprint, 500_000, idempotency_key="paid-once")
+        assert client.plan(fingerprint, 500_000, idempotency_key="paid-once") == first
+        with pytest.raises(ServeError) as excinfo:
+            client.plan(fingerprint, 500_000)
+        assert excinfo.value.code == "throttled"
+
+
+def test_keyed_replay_is_pinned_across_a_refit(start_server):
+    """After a refit an unkeyed plan comes from the new model, but a keyed
+    replay returns the plan the key first answered."""
+    fns = [make_pwl(200.0), make_pwl(300.0)]
+    handle = start_server(
+        shards=1, batch_window=0.0,
+        online_refit=OnlineRefitConfig(min_observations=20, min_escaped=3),
+    )
+    with ServeClient(handle.host, handle.port) as client:
+        fingerprint = client.register_fleet(fns, name="drifting")["fingerprint"]
+        pinned = client.plan(fingerprint, 700_000, idempotency_key="pre-refit")
+        assert client.observe(fingerprint, drift_steps(0, drifted(fns[0])))["refit"]
+        refitted = client.plan(fingerprint, 700_000)
+        assert refitted["allocation"] != pinned["allocation"]
+        assert client.plan(fingerprint, 700_000, idempotency_key="pre-refit") == pinned

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Observation, Planner
+from repro import Fleet, Observation, Planner
 from repro.core.options import PartitionOptions
 from repro.model import OnlineBandRefitter
 from repro.serve import OnlineRefitConfig, ServeClient, ServeError
@@ -115,6 +115,29 @@ class TestDriftIntegration:
             item = client.plan(a, 700_000)
             assert item["allocation"] == [int(x) for x in expect.allocation]
             assert item["makespan"] == pytest.approx(expect.makespan)
+
+    def test_reregistration_after_a_refit_keeps_the_refitted_model(
+        self, refit_server
+    ):
+        """Registration is idempotent after a refit too: the same spec
+        again neither reverts the model nor resets its refit state."""
+        fns = [make_pwl(200.0), make_pwl(300.0)]
+        handle = refit_server(shards=1)
+        with ServeClient(handle.host, handle.port) as client:
+            fp = client.register_fleet(fns, name="drifting")["fingerprint"]
+            doc = client.observe(fp, drift_steps(0, drifted(fns[0])))
+            refitted = doc["refit"]["fingerprint"]
+            plan = client.plan(fp, 700_000)
+            registered = Planner(Fleet(fns)).plan(700_000)
+            assert plan["allocation"] != [int(x) for x in registered.allocation]
+
+            info = client.register_fleet(fns, name="drifting")
+            assert info["model_fingerprint"] == refitted
+            stats = client.stats()
+            assert stats["fleets"][fp]["model_fingerprint"] == refitted
+            assert shard_row(stats, fp)["model_fingerprint"] == refitted
+            assert stats["refit"]["fleets"][fp]["refits"] == 1
+            assert client.plan(fp, 700_000) == plan
 
     def test_refitted_model_tracks_the_drifted_truth(self, refit_server):
         fns = [make_pwl(200.0)]

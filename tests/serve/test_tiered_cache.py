@@ -2,24 +2,27 @@
 
 Layer under test: :class:`repro.planner.tiered.TieredPlanCache` — a
 per-shard :class:`~repro.planner.cache.PlanCache` LRU (L1) backed by a
-pool-wide :class:`~repro.planner.tiered.WarmPlanStore` (L2, write-behind)
+pool-wide :class:`~repro.planner.tiered.WarmPlanStore` (L2, write-through)
 — and its wiring through :class:`repro.serve.shard.ShardPool`:
 
 * a killed-and-restarted shard re-answers replayed keys from the warm
   tier (no cold re-solve), in **both** worker modes;
 * ``invalidate(fingerprint)`` is exact: both tiers drop that fleet's
   plans and nothing of a sibling fleet's;
-* the write-behind queue never resurrects an invalidated plan;
+* an invalidated plan is gone from both tiers as soon as ``invalidate``
+  returns;
 * stripped values: the heavy warm-start ``region`` never crosses into
   the shared store;
 * the store's FIFO bound, in-process and hosted in a process pool's
   manager, also under racing writers, and the hosted store's one round
   trip per operation;
-* a closed pool's store answers misses instead of raising.
+* a closed pool's store answers misses instead of raising;
+* re-registering a fleet leaves no stranded cache and no thread behind.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 from multiprocessing.managers import BaseProxy
@@ -129,51 +132,66 @@ def test_invalidate_evicts_both_tiers_exactly(mode, pair_specs):
         pool.close()
 
 
-def test_tiered_cache_write_behind_and_promotion():
-    """Unit-level: L2 read-through promotes into L1; flush() is a barrier."""
+def test_tiered_cache_write_through_and_promotion():
+    """Unit-level: a plan is in L2 when the solve returns; L2 read-through
+    promotes into L1."""
     sfs = [make_pwl(100.0), make_pwl(220.0)]
     fleet = Fleet(sfs, name="unit")
     store = WarmPlanStore.local(maxsize=64)
     cache = TieredPlanCache(8, warm=store, name="unit-a")
     planner = Planner(fleet, cache=cache)
-    try:
-        result = planner.plan(500_000)
-        cache.flush()
-        assert len(store) >= 1
+    result = planner.plan(500_000)
+    assert len(store) >= 1
 
-        # A sibling planner sharing the store starts warm: its first
-        # query is answered by promotion, not a cold solve.
-        sibling_cache = TieredPlanCache(8, warm=store, name="unit-b")
-        sibling = Planner(fleet, cache=sibling_cache)
-        try:
-            again = sibling.plan(500_000)
-            assert list(again.allocation) == list(result.allocation)
-            assert again.makespan == result.makespan
-            assert sibling.stats().cold_plans == 0
-            assert sibling_cache.warm_stats()["hits"] == 1
-        finally:
-            sibling_cache.close()
-    finally:
-        cache.close()
+    # A sibling planner sharing the store starts warm: its first
+    # query is answered by promotion, not a cold solve.
+    sibling_cache = TieredPlanCache(8, warm=store, name="unit-b")
+    sibling = Planner(fleet, cache=sibling_cache)
+    again = sibling.plan(500_000)
+    assert list(again.allocation) == list(result.allocation)
+    assert again.makespan == result.makespan
+    assert sibling.stats().cold_plans == 0
+    assert sibling_cache.warm_stats()["hits"] == 1
 
 
-def test_invalidate_flushes_write_behind_first():
-    """A plan still sitting in the write queue must not resurrect."""
+def test_invalidate_leaves_no_plan_in_either_tier():
+    """An invalidated plan is gone from both tiers once invalidate returns."""
     sfs = [make_pwl(100.0), make_pwl(220.0)]
     fleet = Fleet(sfs, name="unit")
     store = WarmPlanStore.local(maxsize=64)
     cache = TieredPlanCache(8, warm=store, name="race")
     planner = Planner(fleet, cache=cache)
+    planner.plan(500_000)
+    cache.invalidate(fleet.fingerprint)
+    assert len(store) == 0
+    assert cache.get((fleet.fingerprint, 500_000, "bisection",
+                      "greedy", "tangent")) is None
+
+
+def test_reregistration_leaves_one_cache_and_no_thread(trio_spec):
+    """Six registrations with different cache sizes rebuild the planner
+    six times: the replaced caches are garbage, and none left a thread."""
+    fingerprint = _fingerprint(trio_spec)
+    pool = ShardPool(1, mode="thread")
     try:
-        planner.plan(500_000)
-        # invalidate() flushes the writer thread before dropping, so the
-        # in-flight write cannot land after the eviction.
-        cache.invalidate(fleet.fingerprint)
-        assert len(store) == 0
-        assert cache.get((fleet.fingerprint, 500_000, "bisection",
-                          "greedy", "tangent")) is None
+        threads = None
+        for cache_size in range(16, 22):
+            spec = {**trio_spec, "cache_size": cache_size}
+            assert pool.register(spec, fingerprint).result(60)["ok"]
+            _solve(pool, fingerprint, SIZES)
+            if threads is None:
+                threads = set(threading.enumerate())
+        gc.collect()
+        caches = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, TieredPlanCache) and obj.warm_store is pool.warm_store
+        ]
+        assert len(caches) == 1, len(caches)
+        # No thread started since the first registration (a thread from an
+        # earlier test may still exit meanwhile, so compare sets).
+        assert set(threading.enumerate()) <= threads
     finally:
-        cache.close()
+        pool.close()
 
 
 def test_warm_store_never_holds_regions():
@@ -183,15 +201,11 @@ def test_warm_store_never_holds_regions():
     store = WarmPlanStore.local(maxsize=64)
     cache = TieredPlanCache(8, warm=store, name="strip")
     planner = Planner(fleet, cache=cache)
-    try:
-        planner.plan(500_000)
-        cache.flush()
-        values = [store.get(key) for key in store.keys()]
-        assert values and all(
-            getattr(v, "region", None) is None for v in values
-        ), "a region object leaked into the shared store"
-    finally:
-        cache.close()
+    planner.plan(500_000)
+    values = [store.get(key) for key in store.keys()]
+    assert values and all(
+        getattr(v, "region", None) is None for v in values
+    ), "a region object leaked into the shared store"
 
 
 def test_warm_plans_stay_bit_identical_to_cold_bisection(pair_specs):
@@ -349,22 +363,3 @@ def test_closed_pool_store_answers_misses():
     reader.join(10)
     assert not reader.is_alive()
     assert seen == [(None, 0)]
-
-
-def test_warm_tier_disabled_still_serves(pair_specs):
-    """warm_tier=False keeps the old cold-restart behaviour, no errors."""
-    spec, _ = pair_specs
-    fingerprint = _fingerprint(spec)
-    pool = ShardPool(1, mode="thread", warm_tier=False)
-    try:
-        assert pool.register(spec, fingerprint).result(60)["ok"]
-        before = _solve(pool, fingerprint, SIZES)
-        pool.restart_shard(0)
-        after = _solve(pool, fingerprint, SIZES)
-        assert after == before
-        stats = _fleet_stats(pool, fingerprint)
-        assert "warm" not in stats
-        assert stats["cold_plans"] >= 1  # really re-solved
-        assert pool.warm_tier_stats() == {"enabled": False, "entries": 0}
-    finally:
-        pool.close()
