@@ -2,7 +2,7 @@
 
 The acceptance gate for :mod:`repro.serve`: on the p=1080 synthetic
 fleet (the testbed's 12 machines tiled, as in figure 21), the serving
-path — plan-cache hits, warm-started bisection and micro-batched
+path — plan-cache hits, bisection on the shared pack and micro-batched
 ``plan_many`` sweeps behind one TCP front-end — must sustain at least
 **5x** the plans/sec of a naive one-request-one-solve loop that calls
 the paper's partitioner cold for every request, at client concurrency
@@ -73,12 +73,11 @@ def _phase_sizes(capacity: int, count: int, phase: int) -> list[int]:
     """``count`` distinct sizes, disjoint across ``_PHASES`` phases.
 
     Every request is a distinct size the server has never planned, so a
-    measured phase is pure solve work (warm-started ``plan_many`` sweeps,
-    no cache hits) — the same amount of it on both sides of each gate.
-    The per-phase sets are disjoint so an earlier phase cannot warm the
-    plan cache for a later one; the *bracket* pool still warms every
-    solve slightly, which is why the callers interleave direct/routed
-    passes and take best-of per side.
+    measured phase is pure solve work (``plan_many`` sweeps, no cache
+    hits) — the same amount of it on both sides of each gate.  The
+    per-phase sets are disjoint so an earlier phase cannot warm the plan
+    cache for a later one; the callers still interleave direct/routed
+    passes and take best-of per side, against machine-load drift.
     """
     lo, span = capacity // 10, int(capacity * 0.8)
     sizes = [
@@ -185,10 +184,8 @@ def measure_cluster_throughput(
             return sum(r.ok for r in reports) / wall
 
         # Interleave direct/routed passes and keep the best rate per
-        # side: solver bracket pools warm monotonically across phases,
-        # so back-to-back one-shot measurements would systematically
-        # flatter whichever side ran second.  Interleaving hands the
-        # warming (and any machine-load drift) to both sides equally.
+        # side: interleaving hands any machine-load drift to both sides
+        # equally.
         direct_single = routed_single = 0.0
         for pass_no in range(2):
             direct_single = max(

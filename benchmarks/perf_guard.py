@@ -150,12 +150,12 @@ def run_workload(out_path: Path) -> tuple[float, float, dict]:
             partition_bisection(N, sfs)
             solve_s = min(solve_s, perf_counter() - t0)
 
-        # Exercise the planner layers so the artifact carries cache,
-        # warm-start and batch metrics alongside the solver counters.
+        # Exercise the planner layers so the artifact carries cache and
+        # batch metrics alongside the solver counters.
         planner = Planner(fleet)
         planner.plan(N)
         planner.plan(N)                  # cache hit
-        planner.plan(N - 1_000_000)      # warm start
+        planner.plan(N - 1_000_000)      # cache miss: a cold solve
         planner.plan_many(SWEEP)         # lockstep batch
 
         # Compiled-vs-per-object speedups on the knot-compiled fleets

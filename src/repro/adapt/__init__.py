@@ -14,7 +14,7 @@ disappear altogether:
   :class:`~repro.core.band.SpeedBand` envelopes and confirms drifts
   after ``patience`` consecutive outliers;
 * :mod:`repro.adapt.replanner` — :class:`Replanner` rescales the model
-  by the observed factors, asks a warm-started
+  by the observed factors, asks a cached
   :class:`~repro.planner.Planner` for the optimal remaining partition,
   and applies the **savings-versus-migration-cost** rule; dropout
   recovery redistributes orphaned elements over the survivors with

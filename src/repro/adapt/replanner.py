@@ -7,7 +7,7 @@ derived from is wrong.  The :class:`Replanner` then
 1. rescales every machine's model speed function by the detector's
    smoothed observed/predicted factor (exact knot scaling for piecewise
    representations, so the rescaled fleet stays packable);
-2. asks a warm-started :class:`~repro.planner.Planner` for the optimal
+2. asks a cached :class:`~repro.planner.Planner` for the optimal
    partition of the *remaining* work over the rescaled fleet;
 3. derives the minimal :class:`~repro.adapt.migration.MigrationPlan` and
    applies the decision rule — **replan only when the projected makespan
@@ -208,7 +208,7 @@ class Replanner:
         #: scale-vector clone of the shared pack), so drift corrections
         #: never pay the O(p*m) repack again.
         self._base_fleet = Fleet(self._base, name="adapt")
-        #: fleet-factor key -> warm-started Planner (LRU).
+        #: fleet-factor key -> cached Planner (LRU).
         self._planners: OrderedDict[tuple, Planner] = OrderedDict()
         self.replans_applied = 0
         self.replans_considered = 0
@@ -240,7 +240,7 @@ class Replanner:
         )
 
     def planner_for(self, factors: Sequence[float] | None = None) -> Planner:
-        """The warm-started planner for one observed-speed regime (cached)."""
+        """The planner for one observed-speed regime (cached)."""
         key = self._factor_key(factors, self.p)
         planner = self._planners.get(key)
         if planner is None:
@@ -305,7 +305,7 @@ class Replanner:
 
         ``current_allocation`` is the *remaining* element count per
         processor; ``factors`` the detector's smoothed observed/predicted
-        speed ratios.  The new allocation comes from the warm-started
+        speed ratios.  The new allocation comes from the cached
         planner over the rescaled fleet; the decision applies the
         savings-versus-migration-cost rule and, when positive, is counted
         on the ``adapt.replans`` / ``adapt.migrated.elements`` metrics.

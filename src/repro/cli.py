@@ -9,7 +9,7 @@ touching pytest::
     repro fig21           # partitioner cost sweep
     repro fig22a          # MM speedup sweep
     repro fig22b          # LU speedup sweep
-    repro plan            # cached/warm-started partition planner queries
+    repro plan            # cached/batched partition planner queries
     repro stats           # run a workload, dump the collected telemetry
     repro trace           # run a workload, pretty-print the span tree
     repro serve           # run the concurrent planning service (repro.serve)

@@ -13,6 +13,13 @@ number of steps is ``O(log n)``, giving ``O(p log n)`` overall; for
 pathological shapes (optimal slope decaying exponentially) the step count
 degrades up to ``O(n)``, which motivates the modified algorithm in
 :mod:`repro.core.modified`.
+
+On a compiled fleet a step runs the knot search only for the rows whose
+segment still differs between the two bounding lines (the active set of
+:meth:`~repro.core.vectorized.PiecewiseLinearSet.rays`); the other rows
+are evaluated on their known segment.  :func:`partition_bisection_many`
+steps a batch of sizes in lockstep, each from its own figure-18 bracket,
+so every plan it returns is the one-shot plan, step count included.
 """
 
 from __future__ import annotations
@@ -22,11 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from .. import obs
-from ..exceptions import ConfigurationError, ConvergenceError
-from .geometry import SlopeRegion, ensure_bracket, initial_bracket
+from ..exceptions import ConvergenceError
+from .geometry import SlopeRegion, _cold_brackets, _start_bracket, midpoint
 from .options import reject_unknown_options
 from .vectorized import ObjectSet, PiecewiseLinearSet, pack_speed_functions
-from .refine import makespan, refine_greedy, refine_paper
+from .refine import fine_tune, makespan
 from .result import PartitionResult
 from .speed_function import SpeedFunction
 
@@ -75,8 +82,7 @@ def partition_bisection(
         Optional starting region.  It does not have to bracket the optimal
         line for this ``n``: a stale region (e.g. the converged
         ``result.region`` of a nearby problem size) is first repaired by
-        :func:`~repro.core.geometry.ensure_bracket`, which is how
-        warm-started queries skip most of the cold search.  Computed by
+        :func:`~repro.core.geometry.ensure_bracket`.  Computed by
         :func:`~repro.core.geometry.initial_bracket` when omitted.
     pack:
         Optional pre-built evaluator for the same ``speed_functions`` (see
@@ -102,13 +108,9 @@ def partition_bisection(
     if pack is None:
         pack = pack_speed_functions(speed_functions)
     warm = region is not None
-    if region is None:
-        region = initial_bracket(speed_functions, n, pack=pack)
-        probes = 1  # the figure-18 bracket probe
-    else:
-        region, probes = ensure_bracket(region, n, speed_functions, pack=pack)
-    low_alloc = pack.allocations(region.upper)
-    high_alloc = pack.allocations(region.lower)
+    region, probes, (low_alloc, high_alloc), (low_seg, high_seg) = _start_bracket(
+        pack, n, region, speed_functions
+    )
     intersections = (probes + 2) * p  # bracket probes + the two initial lines
     iterations = 0
     trace: list[tuple[float, float]] = []
@@ -126,25 +128,22 @@ def partition_bisection(
             # graph segment); fine-tuning resolves the remainder.
             break
         mid = region.midpoint(mode)
-        mid_alloc = pack.allocations(mid)
+        # Active-set step: only rows whose knot segment differs between
+        # the two bounding lines are searched.
+        mid_alloc, mid_seg = pack.rays(mid, low_seg, high_seg)
         intersections += p
         total = float(mid_alloc.sum())
         if keep_trace:
             trace.append((mid, total))
         if total >= n:
             region = region.replace_lower(mid)
-            high_alloc = mid_alloc
+            high_alloc, high_seg = mid_alloc, mid_seg
         else:
             region = region.replace_upper(mid)
-            low_alloc = mid_alloc
+            low_alloc, low_seg = mid_alloc, mid_seg
         iterations += 1
 
-    if refine == "greedy":
-        alloc = refine_greedy(n, speed_functions, low_alloc, pack=pack)
-    elif refine == "paper":
-        alloc = refine_paper(n, speed_functions, low_alloc, high_alloc, pack=pack)
-    else:
-        raise ConfigurationError(f"unknown refine procedure {refine!r}")
+    alloc = fine_tune(n, speed_functions, refine, low_alloc, high_alloc, pack)
     if obs.is_enabled():
         obs.record_solver(
             "bisection",
@@ -172,138 +171,100 @@ def partition_bisection_many(
     mode: str = "tangent",
     refine: str = "greedy",
     max_iterations: int = _DEFAULT_MAX_ITERATIONS,
-    region: SlopeRegion | None = None,
     pack: PiecewiseLinearSet | ObjectSet | None = None,
 ) -> list[PartitionResult]:
     """Solve a whole batch of problem sizes in one lockstep sweep.
 
     Equivalent to ``[partition_bisection(n, ...) for n in ns]`` — each
-    returned plan is bit-identical to its one-shot counterpart — but far
-    cheaper, by two structural tricks:
+    returned plan is bit-identical to its one-shot counterpart, iteration
+    count included — but cheaper:
 
-    * **monotone bracketing**: sizes are processed in ascending order, so
-      the optimal slope only moves downward; each size's starting bracket
-      is repaired from its predecessor's in a few geometric probes instead
-      of an independent figure-18 doubling search;
+    * **batched brackets**: every distinct size gets its own figure-18
+      bracket, from one batched ``speeds`` pass and one batched check of
+      all the bracket lines;
     * **lockstep bisection**: all still-unconverged sizes advance
-      together, and their midpoint rays are intersected with the ``p``
-      graphs in a single ``allocations_many`` call per step; on a compiled
-      pack that pays the NumPy dispatch cost once per step instead of once
-      per size per step.
+      together, and their midpoint rays are evaluated in a single
+      ``rays`` call per step, which searches only the (size, row) pairs
+      whose knot segment is still undecided; on a compiled pack that pays
+      the NumPy dispatch cost once per step instead of once per size per
+      step.
 
-    Results are returned in the order the sizes were given.  ``region``
-    optionally seeds the smallest size's bracket (a converged region from
-    a previous query); ``pack`` as in :func:`partition_bisection`.
+    Results are returned in the order the sizes were given; ``pack`` as
+    in :func:`partition_bisection`.
     """
     sizes = [int(n) for n in ns]
     if pack is None:
         pack = pack_speed_functions(speed_functions)
     p = len(speed_functions)
-    order = sorted(range(len(sizes)), key=lambda i: sizes[i])
-    solved: dict[int, PartitionResult] = {}
+    pending = sorted({n for n in sizes if n > 0})
+    # Sizes with nothing to bisect, and a lone size: with no other size to
+    # step in lockstep with, the one-shot solver is the same sweep without
+    # the batch bookkeeping.
+    alone = set(sizes) if len(pending) < 2 else {n for n in sizes if n <= 0}
+    solved = {
+        n: partition_bisection(n, speed_functions, mode=mode, refine=refine, pack=pack)
+        for n in sorted(alone)
+    }
+    if len(pending) < 2:
+        return [solved[n] for n in sizes]
 
-    # Phase 1 — chained brackets, ascending (monotone slope sweep).
-    pending: list[int] = []  # distinct sizes, ascending
-    seen: set[int] = set()
-    regions: list[SlopeRegion] = []
-    probe_counts: list[int] = []
-    warm_flags: list[bool] = []
-    prev = region
-    for idx in order:
-        n = sizes[idx]
-        if n in seen:
-            continue
-        seen.add(n)
-        if n <= 0:
-            solved[n] = partition_bisection(
-                n, speed_functions, mode=mode, refine=refine, pack=pack
+    regions, (lows, highs), (low_segs, high_segs) = _cold_brackets(pack, pending)
+    uppers = np.array([r.upper for r in regions])
+    lowers = np.array([r.lower for r in regions])
+    iterations = np.zeros(len(pending), dtype=np.int64)
+
+    def unconverged(idx: np.ndarray) -> np.ndarray:
+        wide = uppers[idx] - lowers[idx] > _MIN_RELATIVE_WIDTH * uppers[idx]
+        return idx[np.any(highs[idx] - lows[idx] >= 1.0, axis=1) & wide]
+
+    active = unconverged(np.arange(len(pending)))
+    batch_steps = 0
+    while active.size:
+        if iterations[active].max() >= max_iterations:
+            raise ConvergenceError(
+                f"basic bisection did not converge within "
+                f"{max_iterations} steps; consider partition_modified()",
+                iterations=int(iterations[active].max()),
             )
-            continue
-        warm_flags.append(prev is not None)
-        if prev is None:
-            r = initial_bracket(speed_functions, n, pack=pack)
-            probes = 1
-        else:
-            # The previous (smaller) size's bracket: its steep bound stays
-            # valid because totals only grow as the slope falls; only the
-            # shallow bound may need geometric expansion.
-            r, probes = ensure_bracket(prev, n, speed_functions, pack=pack)
-        pending.append(n)
-        regions.append(r)
-        probe_counts.append(probes)
-        prev = r
+        batch_steps += 1
+        mids = np.array([
+            midpoint(u, l, mode)
+            for u, l in zip(uppers[active].tolist(), lowers[active].tolist())
+        ])
+        mid_allocs, mid_segs = pack.rays(mids, low_segs[active], high_segs[active])
+        # Python floats against Python ints: the one-shot comparison, exactly.
+        reached = np.array([
+            total >= pending[i]
+            for total, i in zip(mid_allocs.sum(axis=1).tolist(), active.tolist())
+        ])
+        shallow, steep = active[reached], active[~reached]
+        lowers[shallow], highs[shallow] = mids[reached], mid_allocs[reached]
+        high_segs[shallow] = mid_segs[reached]
+        uppers[steep], lows[steep] = mids[~reached], mid_allocs[~reached]
+        low_segs[steep] = mid_segs[~reached]
+        iterations[active] += 1
+        active = unconverged(active)
 
-    # Phase 2 — lockstep bisection over all pending sizes.
-    if pending:
-        q = len(pending)
-        uppers = np.array([r.upper for r in regions])
-        lowers = np.array([r.lower for r in regions])
-        low_allocs = pack.allocations_many(uppers)
-        high_allocs = pack.allocations_many(lowers)
-        iterations = [0] * q
-        intersections = [(probe_counts[i] + 2) * p for i in range(q)]
-        batch_steps = 0
-        active = [
-            i
-            for i in range(q)
-            if np.any(high_allocs[i] - low_allocs[i] >= 1.0)
-            and regions[i].width() > _MIN_RELATIVE_WIDTH * regions[i].upper
-        ]
-        while active:
-            batch_steps += 1
-            mids = np.array([regions[i].midpoint(mode) for i in active])
-            mid_allocs = pack.allocations_many(mids)
-            still = []
-            for row, i in enumerate(active):
-                if iterations[i] >= max_iterations:
-                    raise ConvergenceError(
-                        f"basic bisection did not converge within "
-                        f"{max_iterations} steps; consider partition_modified()",
-                        iterations=iterations[i],
-                    )
-                ma = mid_allocs[row]
-                if float(ma.sum()) >= pending[i]:
-                    regions[i] = regions[i].replace_lower(float(mids[row]))
-                    high_allocs[i] = ma
-                else:
-                    regions[i] = regions[i].replace_upper(float(mids[row]))
-                    low_allocs[i] = ma
-                iterations[i] += 1
-                intersections[i] += p
-                if np.any(high_allocs[i] - low_allocs[i] >= 1.0) and (
-                    regions[i].width() > _MIN_RELATIVE_WIDTH * regions[i].upper
-                ):
-                    still.append(i)
-            active = still
-
-        # Phase 3 — fine-tune each converged size (identical to one-shot).
-        for i, n in enumerate(pending):
-            if refine == "greedy":
-                alloc = refine_greedy(n, speed_functions, low_allocs[i], pack=pack)
-            elif refine == "paper":
-                alloc = refine_paper(
-                    n, speed_functions, low_allocs[i], high_allocs[i], pack=pack
-                )
-            else:
-                raise ConfigurationError(f"unknown refine procedure {refine!r}")
-            solved[n] = PartitionResult(
-                allocation=alloc,
-                makespan=makespan(speed_functions, alloc, pack=pack),
-                algorithm="bisection",
-                iterations=iterations[i],
-                intersections=intersections[i],
-                slope=regions[i].midpoint(mode),
-                region=regions[i],
+    for i, n in enumerate(pending):
+        alloc = fine_tune(n, speed_functions, refine, lows[i], highs[i], pack)
+        region = SlopeRegion(upper=float(uppers[i]), lower=float(lowers[i]))
+        solved[n] = PartitionResult(
+            allocation=alloc,
+            makespan=makespan(speed_functions, alloc, pack=pack),
+            algorithm="bisection",
+            iterations=int(iterations[i]),
+            intersections=int(3 + iterations[i]) * p,
+            slope=region.midpoint(mode),
+            region=region,
+        )
+    if obs.is_enabled():
+        obs.record_batch(sizes=len(pending), steps=batch_steps)
+        for i in range(len(pending)):
+            obs.record_solver(
+                "bisection",
+                iterations=int(iterations[i]),
+                intersections=int(3 + iterations[i]) * p,
+                probes=1,
+                warm=False,
             )
-        if obs.is_enabled():
-            obs.record_batch(sizes=len(pending), steps=batch_steps)
-            for i in range(len(pending)):
-                obs.record_solver(
-                    "bisection",
-                    iterations=iterations[i],
-                    intersections=intersections[i],
-                    probes=probe_counts[i],
-                    warm=warm_flags[i],
-                )
-
     return [solved[n] for n in sizes]

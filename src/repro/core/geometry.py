@@ -9,7 +9,7 @@ provides:
 
 * :func:`initial_bracket` — the paper's procedure (figure 18) for finding the
   two starting lines between which the optimal line lies;
-* :func:`ensure_bracket` — the warm-start repair of a stale bracket;
+* :func:`ensure_bracket` — the repair of a stale bracket (``region=``);
 * :class:`SlopeRegion` — the pair of bounding slopes manipulated by the
   bisection algorithms, with both *tangent* and *angle* bisection rules (the
   paper bisects angles but notes that tangents work in practice).
@@ -90,15 +90,69 @@ def _expand_region(pack, upper: float, lower: float, n: int,
     return SlopeRegion(upper=up[0], lower=down[0]), up[1] + down[1]
 
 
-def _check_capacity(speed_functions: Sequence[SpeedFunction], n: int) -> None:
+def _check_capacity(pack, n: int) -> None:
     if n <= 0:
         raise InfeasiblePartitionError(f"problem size must be positive, got {n}")
-    capacity = sum(sf.max_size for sf in speed_functions)
-    if capacity < n:
+    if pack.max_total < n:
         raise InfeasiblePartitionError(
-            f"problem of size {n} exceeds the combined memory bound "
-            f"{capacity:g} of the {len(speed_functions)} processors"
+            f"problem of size {n} exceeds the {pack.max_total:.0f} elements "
+            f"the memory bounds of the {pack.p} processors can hold"
         )
+
+
+def _cold_brackets(pack, ns: Sequence[int], max_expansions: int = 200):
+    """Figure-18 brackets for the sizes ``ns``: ``(regions, rays, segments)``.
+
+    One batched ``speeds`` pass and one batched ``rays`` check serve every
+    size; only a size whose first check fails walks its ladder alone.
+    ``rays[0]`` / ``rays[1]`` (and ``segments``) are the ``(len(ns), p)``
+    results on the steep / shallow lines, ready for active-set steps.
+    """
+    p = pack.p
+    if p == 0:
+        raise InfeasiblePartitionError("no processors")
+    for n in ns:
+        _check_capacity(pack, n)
+    probe = np.array([n / p for n in ns])[:, None]
+    speeds = pack.speeds(np.minimum(probe, pack.max_sizes))
+    # A processor whose speed is exactly zero at n/p (e.g. at its paging
+    # limit) still has positive speed at smaller sizes; fall back to a
+    # tiny positive surrogate so the bracket search can proceed.
+    speeds = np.where(
+        np.any(speeds <= 0, axis=1, keepdims=True),
+        np.maximum(speeds, 1e-30),
+        speeds,
+    )
+    lines = np.stack([speeds.max(axis=1), speeds.min(axis=1)]) / probe[:, 0]
+    rays, segments = pack.rays(lines.ravel())
+    rays = rays.reshape(2, len(ns), p)
+    segments = segments.reshape(2, len(ns), p)
+    totals = rays.sum(axis=2)
+    regions = []
+    for j, n in enumerate(ns):
+        upper, lower = float(lines[0, j]), float(lines[1, j])
+        if float(totals[0, j]) <= n <= float(totals[1, j]):
+            region = SlopeRegion(upper=upper, lower=lower)
+        else:
+            region = _expand_region(pack, upper, lower, n, max_expansions)[0]
+            rays[:, j], segments[:, j] = pack.rays([region.upper, region.lower])
+        regions.append(region)
+    return regions, rays, segments
+
+
+def _start_bracket(pack, n: int, region, speed_functions):
+    """Where one solve starts: ``(region, probes, rays, segments)``.
+
+    The figure-18 bracket (one probe) when ``region`` is None, otherwise
+    ``region`` repaired by :func:`ensure_bracket`; ``rays`` / ``segments``
+    are the allocations and knot segments on its steep and shallow lines.
+    """
+    if region is None:
+        regions, rays, segments = _cold_brackets(pack, [n])
+        return regions[0], 1, rays[:, 0], segments[:, 0]
+    region, probes = ensure_bracket(region, n, speed_functions, pack=pack)
+    rays, segments = pack.rays([region.upper, region.lower])
+    return region, probes, rays, segments
 
 
 def initial_bracket(
@@ -119,7 +173,8 @@ def initial_bracket(
     clamped, so even a nearly flat line may not reach a total of ``n``).  In
     that case the shallow slope is decreased geometrically; if the problem
     does not fit in the combined memory of all processors at any slope,
-    :class:`~repro.exceptions.InfeasiblePartitionError` is raised.
+    :class:`~repro.exceptions.InfeasiblePartitionError` is raised — at
+    once, before any ray, for ``n`` above ``sum(floor(max_i))``.
 
     ``pack`` is the fleet evaluator (see
     :func:`repro.core.vectorized.pack_speed_functions`); it evaluates the
@@ -130,22 +185,9 @@ def initial_bracket(
 
     Returns a :class:`SlopeRegion` with ``total(upper) <= n <= total(lower)``.
     """
-    p = len(speed_functions)
-    if p == 0:
-        raise InfeasiblePartitionError("no processors")
-    _check_capacity(speed_functions, n)
     if pack is None:
         pack = ObjectSet(speed_functions)
-    probe = n / p
-    speeds_at_probe = pack.speeds(np.minimum(probe, pack.max_sizes))
-    if np.any(speeds_at_probe <= 0):
-        # A processor whose speed is exactly zero at n/p (e.g. at its paging
-        # limit) still has positive speed at smaller sizes; fall back to a
-        # tiny positive surrogate so the bracket search can proceed.
-        speeds_at_probe = np.maximum(speeds_at_probe, 1e-30)
-    upper = float(speeds_at_probe.max() / probe)
-    lower = float(speeds_at_probe.min() / probe)
-    return _expand_region(pack, upper, lower, n, max_expansions)[0]
+    return _cold_brackets(pack, [n], max_expansions)[0][0]
 
 
 def ensure_bracket(
@@ -158,13 +200,12 @@ def ensure_bracket(
 ) -> tuple["SlopeRegion", int]:
     """Expand a stale region until it brackets the optimal line for ``n``.
 
-    This is the warm-start primitive: a converged :class:`SlopeRegion`
-    cached from a nearby problem size ``n0`` almost brackets the optimal
-    slope for ``n`` (the optimal slope is monotone non-increasing in the
-    problem size), so restoring the bisection invariant
-    ``total(upper) <= n <= total(lower)`` takes a handful of geometric
-    expansions — ``O(log(n/n0))`` total-allocation probes — instead of the
-    full figure-18 initial-bracket search.
+    This is the primitive behind the solvers' ``region=``: a converged
+    :class:`SlopeRegion` cached from a nearby problem size ``n0`` almost
+    brackets the optimal slope for ``n`` (the optimal slope is monotone
+    non-increasing in the problem size), so restoring the bisection
+    invariant ``total(upper) <= n <= total(lower)`` takes a handful of
+    geometric expansions — ``O(log(n/n0))`` total-allocation probes.
 
     ``pack`` is the fleet evaluator, as in :func:`initial_bracket`; the
     expansion ladder is batched (bit-identical slopes — exact powers of
@@ -175,13 +216,35 @@ def ensure_bracket(
     (each costs ``p`` ray-graph intersections); a region that already
     brackets ``n`` costs 2 probes.
     """
-    _check_capacity(speed_functions, n)
     if pack is None:
         pack = ObjectSet(speed_functions)
+    _check_capacity(pack, n)
     repaired, steps = _expand_region(
         pack, region.upper, region.lower, n, max_expansions
     )
     return repaired, 2 + steps
+
+
+def midpoint(upper: float, lower: float, mode: str = "tangent") -> float:
+    """Slope of the line bisecting the region between two slopes.
+
+    ``mode='angle'`` bisects the angle (the paper's definition:
+    ``(theta1 + theta2) / 2``); ``mode='tangent'`` averages the tangent
+    slopes, which the paper notes is the computationally efficient
+    choice for practical implementations.  Either way the result lies
+    in ``[lower, upper]``, which the active-set steps of
+    :meth:`~repro.core.vectorized.PiecewiseLinearSet.rays` rely on.
+    """
+    if mode == "tangent":
+        return 0.5 * (upper + lower)
+    if mode == "angle":
+        mid = math.tan(0.5 * (math.atan(upper) + math.atan(lower)))
+        # Rounding can push the angle bisector of a very narrow region
+        # just outside it; the tangent midpoint always lies inside.
+        if lower <= mid <= upper:
+            return mid
+        return 0.5 * (upper + lower)
+    raise ConfigurationError(f"unknown bisection mode {mode!r}")
 
 
 @dataclass
@@ -210,18 +273,8 @@ class SlopeRegion:
             )
 
     def midpoint(self, mode: str = "tangent") -> float:
-        """Slope of the line bisecting this region.
-
-        ``mode='angle'`` bisects the angle (the paper's definition:
-        ``(theta1 + theta2) / 2``); ``mode='tangent'`` averages the tangent
-        slopes, which the paper notes is the computationally efficient
-        choice for practical implementations.
-        """
-        if mode == "tangent":
-            return 0.5 * (self.upper + self.lower)
-        if mode == "angle":
-            return math.tan(0.5 * (math.atan(self.upper) + math.atan(self.lower)))
-        raise ConfigurationError(f"unknown bisection mode {mode!r}")
+        """Slope of the line bisecting this region (see :func:`midpoint`)."""
+        return midpoint(self.upper, self.lower, mode)
 
     def width(self) -> float:
         """Tangent-slope width of the region."""

@@ -30,11 +30,11 @@ from typing import Sequence
 import numpy as np
 
 from .. import obs
-from ..exceptions import ConfigurationError, ConvergenceError
+from ..exceptions import ConvergenceError
 from .options import reject_unknown_options
-from .geometry import SlopeRegion, ensure_bracket, initial_bracket
+from .geometry import SlopeRegion, _start_bracket
 from .vectorized import ObjectSet, PiecewiseLinearSet, pack_speed_functions
-from .refine import makespan, refine_greedy, refine_paper
+from .refine import fine_tune, makespan
 from .result import PartitionResult
 from .speed_function import SpeedFunction
 
@@ -88,13 +88,9 @@ def partition_modified(
     if pack is None:
         pack = pack_speed_functions(speed_functions)
     warm = region is not None
-    if region is None:
-        region = initial_bracket(speed_functions, n, pack=pack)
-        probes = 1
-    else:
-        region, probes = ensure_bracket(region, n, speed_functions, pack=pack)
-    low_alloc = pack.allocations(region.upper)
-    high_alloc = pack.allocations(region.lower)
+    region, probes, (low_alloc, high_alloc), (low_seg, high_seg) = _start_bracket(
+        pack, n, region, speed_functions
+    )
     intersections = (probes + 2) * p
     iterations = 0
     trace: list[tuple[float, float]] = []
@@ -124,25 +120,20 @@ def partition_modified(
         # clamped intersections could push it onto a boundary.
         if not (region.lower < slope < region.upper) or not math.isfinite(slope):
             slope = region.midpoint("tangent")
-        mid_alloc = pack.allocations(slope)
+        mid_alloc, mid_seg = pack.rays(slope, low_seg, high_seg)  # active-set step
         intersections += p
         total = float(mid_alloc.sum())
         if keep_trace:
             trace.append((slope, total))
         if total >= n:
             region = region.replace_lower(slope)
-            high_alloc = mid_alloc
+            high_alloc, high_seg = mid_alloc, mid_seg
         else:
             region = region.replace_upper(slope)
-            low_alloc = mid_alloc
+            low_alloc, low_seg = mid_alloc, mid_seg
         iterations += 1
 
-    if refine == "greedy":
-        alloc = refine_greedy(n, speed_functions, low_alloc, pack=pack)
-    elif refine == "paper":
-        alloc = refine_paper(n, speed_functions, low_alloc, high_alloc, pack=pack)
-    else:
-        raise ConfigurationError(f"unknown refine procedure {refine!r}")
+    alloc = fine_tune(n, speed_functions, refine, low_alloc, high_alloc, pack)
     if obs.is_enabled():
         obs.record_solver(
             "modified",

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..exceptions import InfeasiblePartitionError
+from ..exceptions import ConfigurationError, InfeasiblePartitionError
 from .speed_function import SpeedFunction
 from .vectorized import ObjectSet, PiecewiseLinearSet
 
@@ -63,6 +63,25 @@ def makespan(
             f"allocation has {x.size} entries for {pack.p} processors"
         )
     return float(pack.times(x.astype(float)).max())
+
+
+def fine_tune(
+    n: int,
+    speed_functions: Sequence[SpeedFunction],
+    refine: str,
+    low_allocation: np.ndarray,
+    high_allocation: np.ndarray,
+    pack: PiecewiseLinearSet | ObjectSet,
+) -> np.ndarray:
+    """Run ``refine`` (``"greedy"`` or ``"paper"``) on a converged bracket's
+    steep-line and shallow-line intersections."""
+    if refine == "greedy":
+        return refine_greedy(n, speed_functions, low_allocation, pack=pack)
+    if refine == "paper":
+        return refine_paper(
+            n, speed_functions, low_allocation, high_allocation, pack=pack
+        )
+    raise ConfigurationError(f"unknown refine procedure {refine!r}")
 
 
 def refine_greedy(

@@ -3,16 +3,19 @@
 The partitioning algorithms spend essentially all their time intersecting
 one ray with ``p`` speed graphs, ``O(log n)`` times, and evaluating the
 finish times ``t_i(x_i)`` while fine-tuning.  Every algorithm runs against
-one *evaluator* with a fixed surface — ``p``, ``max_sizes``, ``exact``,
-``speculative_rows``, ``fingerprint``, ``allocations``, ``allocations_many``,
-``speeds``, ``times``, ``time_one`` and ``rescaled`` — and this module
-provides its two implementations:
+one *evaluator* with a fixed surface — ``p``, ``max_sizes``, ``max_total``,
+``exact``, ``speculative_rows``, ``fingerprint``, ``allocations``,
+``allocations_many``, ``rays``, ``speeds``, ``times``, ``time_one`` and
+``rescaled`` — and this module provides its two implementations:
 
 :class:`PiecewiseLinearSet`
     packs the whole fleet into padded 2-D arrays and resolves a ray in a
-    handful of NumPy operations (a fixed-depth branchless binary search
-    over the knot slopes).  Every fleet whose members compile through the
-    knot protocol below gets one.
+    handful of NumPy operations: one counting search for each row's knot
+    segment, then that segment's closed-form crossing.  Inside a
+    bisection bracket :meth:`PiecewiseLinearSet.rays` searches only the
+    rows whose segment still differs between the bracket's two lines
+    (the *active set*); the others keep theirs.  Every fleet whose
+    members compile through the knot protocol below gets one.
 :class:`ObjectSet`
     the same surface as a loop over the member objects.  It serves fleets
     that do not compile (raw analytic models, user subclasses,
@@ -99,6 +102,11 @@ __all__ = [
     "pack_speed_functions",
 ]
 
+#: (slope or size, row) pairs one vectorised pass evaluates; larger
+#: batches go in slices, which keeps a pass's temporaries to a few MB.
+_BATCH_PAIRS = 1 << 14
+
+
 def _record_pack(outcome: str, blocked_by: str | None = None) -> None:
     """Count pack attempts on the obs registry (satellite: visible fallbacks)."""
     from .. import obs
@@ -182,6 +190,7 @@ class PiecewiseLinearSet:
         self._has_trunc = bool(np.any(caps < knot_last_x))
         self._x_knot_last = knot_last_x
         self._x_last = np.minimum(caps, knot_last_x)
+        self._max_total = float(np.floor(self._x_last).sum())
         self._s_last = np.where(
             caps < knot_last_x,
             np.array(
@@ -204,20 +213,23 @@ class PiecewiseLinearSet:
         # Make padded slots unreachable: strictly below every real slope.
         pad = np.arange(m)[None, :] >= np.asarray(widths)[:, None]
         gs = np.where(pad, -np.inf, gs)
-        self._gs = gs
+        # One more -inf column, so every row has a slot below any query.
+        self._gs = np.concatenate([gs, np.full((p, 1), -np.inf)], axis=1)
         self._g_first = gs[:, 0]
         self._g_last = gs[np.arange(p), self._widths - 1]
         self._s_first = ss[:, 0]
-        # Per-segment line parameters s = a + b*x (column j: segment j->j+1).
+        # Per-segment line parameters s = a + b*x (column j: segment j->j+1;
+        # the last column is a flat stub that keeps every array m wide).
         # Unbounded rows put their last knot at infinity: their pad
         # segments produce nan parameters (inf - inf), but the search can
         # only land there when the shallow override fires, so the values
         # are never read.  Flat segments force the intercept to the knot
         # speed rather than risk 0 * inf.
         with np.errstate(divide="ignore", invalid="ignore"):
-            dx = np.diff(xs, axis=1)
-            b = np.where(dx > 0, np.diff(ss, axis=1) / np.where(dx > 0, dx, 1.0), 0.0)
-            intercept = np.where(b != 0, ss[:, :-1] - b * xs[:, :-1], ss[:, :-1])
+            dx = np.diff(xs, axis=1, append=xs[:, -1:])
+            ds = np.diff(ss, axis=1, append=ss[:, -1:])
+            b = np.where(dx > 0, ds / np.where(dx > 0, dx, 1.0), 0.0)
+            intercept = np.where(b != 0, ss - b * xs, ss)
         # Step-model drop segments: zero the line so the segment solve
         # yields 0, which the [x0, x1] clip then lifts to the left
         # boundary — the exact ``sup`` answer for a ray crossing a
@@ -228,11 +240,12 @@ class PiecewiseLinearSet:
                 d = np.asarray(r.drops, dtype=bool)
                 b[i, : d.size][d] = 0.0
                 intercept[i, : d.size][d] = 0.0
-        self._seg_slope = b
-        self._seg_intercept = intercept
-        self._depth = max(int(np.ceil(np.log2(max(m, 2)))) + 1, 1)
+        # Flat views of the (p, m) tables: row i, column j is entry
+        # i*m + j, so a per-row gather is one 1-D ``take``.
+        self._base = np.arange(p) * m
+        self._xs_flat, self._ss_flat = xs.ravel(), ss.ravel()
+        self._seg_slope, self._seg_intercept = b.ravel(), intercept.ravel()
         self._m = m
-        self._rows = np.arange(p)
         self._fingerprint: str | None = None
         # Shared across rescaled() clones so the expensive knot digest is
         # computed once per knot set, not once per scale vector.
@@ -241,7 +254,7 @@ class PiecewiseLinearSet:
 
     @property
     def p(self) -> int:
-        return int(self._rows.size)
+        return int(self._base.size)
 
     @property
     def max_sizes(self) -> np.ndarray:
@@ -249,6 +262,11 @@ class PiecewiseLinearSet:
         v = self._x_last.view()
         v.flags.writeable = False
         return v
+
+    @property
+    def max_total(self) -> float:
+        """The largest integer problem size the fleet holds: ``sum(floor(max_sizes))``."""
+        return self._max_total
 
     @property
     def exact(self) -> bool:
@@ -335,47 +353,98 @@ class PiecewiseLinearSet:
     # ------------------------------------------------------------------
     def allocations(self, slope: float) -> np.ndarray:
         """Size coordinates of the ray's intersection with every graph."""
-        gs = self._gs
+        return self.rays(slope)[0]
+
+    def allocations_many(self, slopes: np.ndarray) -> np.ndarray:
+        """``(len(slopes), p)`` intersections; row ``r`` is bitwise
+        ``allocations(slopes[r])`` (both are :meth:`rays`)."""
+        return self.rays(np.asarray(slopes, dtype=float))[0]
+
+    def rays(self, slopes, steep=None, shallow=None):
+        """Allocations on the rays ``slopes`` and each row's knot segment.
+
+        ``slopes`` is a scalar or a 1-D batch; both results have shape
+        ``np.shape(slopes) + (p,)``.  A bisection step passes the segments
+        this method returned for the steep and the shallow line of its
+        bracket: a row's segment is monotone in the slope, so where the two
+        agree it holds for every slope in between and only the other rows
+        run the knot search (all rows do while more than a quarter are
+        open, which is cheaper than gathering them).  Either way the
+        allocations are bitwise those of the plain call.
+        """
+        c = np.asarray(slopes, dtype=float)
+        step = max(1, _BATCH_PAIRS // self.p)
+        if c.ndim == 1 and c.size > step:
+            parts = [
+                self.rays(c[i:i + step],
+                          None if steep is None else steep[i:i + step],
+                          None if shallow is None else shallow[i:i + step])
+                for i in range(0, c.size, step)
+            ]
+            return (np.concatenate([x for x, _ in parts]),
+                    np.concatenate([k for _, k in parts]))
+        c = c[..., None]
         # Scaled rows divide the query slope instead of their knots — the
         # exact operation _ScaledSpeedFunction.intersect_ray applies.
-        cq = slope / self._scale if self._has_scale else slope
-        # Branchless binary search for k = max{j : g[j] >= slope} per row.
-        lo = np.zeros(self.p, dtype=np.int64)
-        hi = np.full(self.p, self._m - 1, dtype=np.int64)
-        for _ in range(self._depth):
-            mid = (lo + hi + 1) >> 1
-            cond = gs[self._rows, mid] >= cq
-            lo = np.where(cond, mid, lo)
-            hi = np.where(cond, hi, mid - 1)
-        k = np.minimum(lo, self._m - 2)
-        a = self._seg_intercept[self._rows, k]
-        b = self._seg_slope[self._rows, k]
+        cq = c / self._scale if self._has_scale else c
+        if steep is None:
+            k = self._segments(cq)
+        else:
+            k = np.array(steep, dtype=np.int64)
+            undecided = k != shallow
+            count = np.count_nonzero(undecided)
+            if 4 * count > undecided.size:
+                # Most rows still open (a wide bracket): one search over
+                # every row costs less than gathering the open ones.
+                k = self._segments(cq)
+            elif count:
+                rows = np.nonzero(undecided)[-1]
+                k[undecided] = self._segments(
+                    np.broadcast_to(cq, k.shape)[undecided], rows
+                )
+        i = k + self._base
+        a, b = self._seg_intercept.take(i), self._seg_slope.take(i)
+        x0, x1 = self._xs_flat.take(i), self._xs_flat.take(i + 1)
         denom = cq - b
         with np.errstate(divide="ignore", invalid="ignore"):
             x = np.where(denom > 0, a / np.where(denom > 0, denom, 1.0), np.inf)
-        x0 = self._xs[self._rows, k]
-        x1 = self._xs[self._rows, np.minimum(k + 1, self._m - 1)]
-        x = np.clip(x, x0, x1)
+        x = np.minimum(np.maximum(x, x0), x1)
         # Case 1: steeper than the first knot's ray -> constant extension.
-        steep = cq >= self._g_first
-        x = np.where(steep, self._s_first / cq, x)
+        steep_ray = cq >= self._g_first
+        x = np.where(steep_ray, self._s_first / cq, x)
         # Case 2: shallower than the last knot's ray -> clamp at the bound.
-        x = np.where(cq <= self._g_last, self._x_knot_last, x)
+        shallow_ray = cq <= self._g_last
+        x = np.where(shallow_ray, self._x_knot_last, x)
         if self._has_comm:
-            x = self._comm_allocations(slope, a, b, x0, x1, steep, cq, x)
+            x = np.where(
+                self._comm_mask,
+                self._comm_crossings(1.0 / c, a, b, x0, x1, steep_ray, shallow_ray),
+                x,
+            )
         if self._has_trunc:
             x = np.minimum(x, self._x_last)
         if self._has_comm:
             priced = (
                 self._comm_mask
                 & (self._alpha > 0)
-                & (1.0 / slope <= self._alpha)
+                & (1.0 / c <= self._alpha)
             )
             x = np.where(priced, 0.0, x)
-        return x
+        return x, k
 
-    def _comm_allocations(self, slope, a, b, x0, x1, steep, cq, x):
-        """Closed-form comm crossings overlaid on the comm rows.
+    def _segments(self, cq, rows=None):
+        """``k = max{j : g[j] >= cq}`` per query, clipped to a segment.
+
+        Every row of ``g`` is non-increasing and ends in ``-inf``, so ``k``
+        is the first entry below the slope, minus one.  ``rows`` selects
+        the rows a 1-D ``cq`` is searched on; else ``cq`` broadcasts.
+        """
+        gs = self._gs if rows is None else self._gs[rows]
+        below = (gs >= cq[..., None]).argmin(axis=-1)
+        return np.minimum(np.maximum(below - 1, 0), self._m - 2)
+
+    def _comm_crossings(self, T, a, b, x0, x1, steep, shallow):
+        """Closed-form comm crossings on the searched segments.
 
         Solves ``x/(a+bx) + alpha + beta*x = T`` (``T = 1/slope``) on the
         searched segment: ``A x^2 + B x + C = 0`` with ``A = beta*b``,
@@ -387,7 +456,6 @@ class PiecewiseLinearSet:
         cancellation that otherwise loses the crossing entirely at very
         shallow slopes (huge ``T``) over a declining segment.
         """
-        T = 1.0 / slope
         aa, bb = self._alpha, self._beta
         A = bb * b
         B = 1.0 + aa * b + bb * a - T * b
@@ -406,90 +474,10 @@ class PiecewiseLinearSet:
                 2.0 * C / np.where(stable, -B - disc, 1.0),
                 xq,
             )
-        xq = np.clip(xq, x0, x1)
+        xq = np.minimum(np.maximum(xq, x0), x1)
         # Constant-extension region: t(x) = x/s0 + alpha + beta*x = T.
-        xq = np.where(
-            steep, (T - aa) / (1.0 / self._s_first + bb), xq
-        )
-        xq = np.where(cq <= self._g_last, self._x_knot_last, xq)
-        return np.where(self._comm_mask, xq, x)
-
-    def allocations_many(self, slopes: np.ndarray) -> np.ndarray:
-        """Ray intersections for a whole batch of slopes at once.
-
-        Returns a ``(len(slopes), p)`` array whose row ``r`` is bit-identical
-        to ``allocations(slopes[r])`` — the arithmetic is the same expression
-        broadcast over the batch axis, so batched solvers (the planner's
-        lockstep sweep) produce exactly the per-query results while paying
-        the NumPy dispatch overhead once per step instead of once per query.
-        """
-        c = np.asarray(slopes, dtype=float)[:, None]  # (q, 1)
-        q = c.shape[0]
-        gs = self._gs
-        rows = self._rows
-        cq = c / self._scale[None, :] if self._has_scale else c
-        if q * self.p * self._m <= 32_000_000:
-            # Each row of ``gs`` is non-increasing (the strict-decrease
-            # invariant, -inf padding), so the searched index is just the
-            # count of entries at/above the slope, minus one — two large
-            # vector operations instead of a dispatch-heavy search loop.
-            # Identical k to the binary search, hence bit-identical output.
-            count = (gs[None, :, :] >= np.asarray(cq)[:, :, None]).sum(axis=2)
-            k = np.minimum(np.maximum(count - 1, 0), self._m - 2)
-        else:
-            lo = np.zeros((q, self.p), dtype=np.int64)
-            hi = np.full((q, self.p), self._m - 1, dtype=np.int64)
-            for _ in range(self._depth):
-                mid = (lo + hi + 1) >> 1
-                cond = gs[rows, mid] >= cq
-                lo = np.where(cond, mid, lo)
-                hi = np.where(cond, hi, mid - 1)
-            k = np.minimum(lo, self._m - 2)
-        a = self._seg_intercept[rows, k]
-        b = self._seg_slope[rows, k]
-        denom = cq - b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(denom > 0, a / np.where(denom > 0, denom, 1.0), np.inf)
-        x0 = self._xs[rows, k]
-        x1 = self._xs[rows, np.minimum(k + 1, self._m - 1)]
-        x = np.clip(x, x0, x1)
-        steep = cq >= self._g_first
-        x = np.where(steep, self._s_first / cq, x)
-        x = np.where(cq <= self._g_last, self._x_knot_last, x)
-        if self._has_comm:
-            T = 1.0 / c
-            aa, bb = self._alpha, self._beta
-            A = bb * b
-            B = 1.0 + aa * b + bb * a - T * b
-            C = a * (aa - T)
-            disc = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
-            nzA = A != 0
-            stable = nzA & (B > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xq = np.where(
-                    nzA,
-                    (-B + disc) / np.where(nzA, 2.0 * A, 1.0),
-                    np.where(B > 0, -C / np.where(B != 0, B, 1.0), x1),
-                )
-                xq = np.where(
-                    stable,
-                    2.0 * C / np.where(stable, -B - disc, 1.0),
-                    xq,
-                )
-            xq = np.clip(xq, x0, x1)
-            xq = np.where(steep, (T - aa) / (1.0 / self._s_first + bb), xq)
-            xq = np.where(cq <= self._g_last, self._x_knot_last, xq)
-            x = np.where(self._comm_mask, xq, x)
-        if self._has_trunc:
-            x = np.minimum(x, self._x_last)
-        if self._has_comm:
-            priced = (
-                self._comm_mask
-                & (self._alpha > 0)
-                & (1.0 / c <= self._alpha)
-            )
-            x = np.where(priced, 0.0, x)
-        return x
+        xq = np.where(steep, (T - aa) / (1.0 / self._s_first + bb), xq)
+        return np.where(shallow, self._x_knot_last, xq)
 
     def total(self, slope: float) -> float:
         return float(self.allocations(slope).sum())
@@ -505,30 +493,26 @@ class PiecewiseLinearSet:
         :meth:`PiecewiseLinearSpeedFunction.speed`: the same segment is
         selected and the same ``s0 + (x-x0) * (s1-s0)/(x1-x0)`` arithmetic
         is applied, with the same clamping to the first/last (or cap)
-        speeds outside the knot range.
+        speeds outside the knot range.  ``x`` may carry leading batch
+        axes in front of the row axis.
         """
         x = np.asarray(x, dtype=float)
-        xs, ss, rows = self._xs, self._ss, self._rows
-        # Branchless binary search for j = max{col : xs[col] <= x} per row.
-        # Padded columns repeat the last knot size, so for x below the bound
-        # they are never selected; x at/above the bound is masked below.
-        lo = np.zeros(self.p, dtype=np.int64)
-        hi = np.full(self.p, self._m - 1, dtype=np.int64)
-        for _ in range(self._depth):
-            mid = (lo + hi + 1) >> 1
-            cond = xs[rows, mid] <= x
-            lo = np.where(cond, mid, lo)
-            hi = np.where(cond, hi, mid - 1)
-        j = np.minimum(lo, self._m - 2)
-        dx = xs[rows, j + 1] - xs[rows, j]
+        # j = max{col : xs[col] <= x} per row, one before the first knot
+        # above x: every row is non-decreasing (padding repeats the last
+        # knot size).  A size with no knot above it lies at/past the last
+        # knot, hence at/past the bound, and is masked below.
+        above = (self._xs > x[..., None]).argmax(axis=-1)
+        i = np.minimum(np.maximum(above - 1, 0), self._m - 2) + self._base
+        x0, s0 = self._xs_flat.take(i), self._ss_flat.take(i)
+        dx = self._xs_flat.take(i + 1) - x0
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(
                 dx > 0,
-                (ss[rows, j + 1] - ss[rows, j]) / np.where(dx > 0, dx, 1.0),
+                (self._ss_flat.take(i + 1) - s0) / np.where(dx > 0, dx, 1.0),
                 0.0,
             )
-        out = slope * (x - xs[rows, j]) + ss[rows, j]
-        out = np.where(x <= xs[rows, 0], self._s_first, out)
+        out = slope * (x - x0) + s0
+        out = np.where(x <= self._xs[:, 0], self._s_first, out)
         out = np.where(x >= self._x_last, self._s_last, out)
         return out
 
@@ -541,6 +525,11 @@ class PiecewiseLinearSet:
         speed.  Bit-compatible with the per-object path for exact rows.
         """
         x = np.asarray(x, dtype=float)
+        step = max(1, _BATCH_PAIRS // self.p)
+        if x.ndim == 2 and len(x) > step:
+            return np.concatenate(
+                [self.speeds(x[i:i + step]) for i in range(0, len(x), step)]
+            )
         if not self._has_comm:
             out = self._inner_speeds(x)
             if self._has_scale:
@@ -686,6 +675,7 @@ class ObjectSet:
         self._sfs = tuple(speed_functions)
         self._max_sizes = np.array([sf.max_size for sf in self._sfs], dtype=float)
         self._max_sizes.flags.writeable = False
+        self._max_total = float(np.floor(self._max_sizes).sum())
         self._fingerprint: str | None = None
 
     @property
@@ -696,6 +686,11 @@ class ObjectSet:
     def max_sizes(self) -> np.ndarray:
         """Per-processor memory bounds; read-only."""
         return self._max_sizes
+
+    @property
+    def max_total(self) -> float:
+        """The largest integer problem size the fleet holds: ``sum(floor(max_sizes))``."""
+        return self._max_total
 
     @property
     def fingerprint(self) -> str:
@@ -722,17 +717,27 @@ class ObjectSet:
             out[r] = self.allocations(float(slope))
         return out
 
+    def rays(self, slopes, steep=None, shallow=None):
+        """:meth:`PiecewiseLinearSet.rays` without knots: every row is
+        intersected, and the segments are zeros (the bracket's ignored)."""
+        c = np.asarray(slopes, dtype=float)
+        x = self.allocations(float(c)) if c.ndim == 0 else self.allocations_many(c)
+        return x, np.zeros(x.shape, dtype=np.int64)
+
+    def _each(self, method: str, x) -> np.ndarray:
+        """``sf.method(x[..., i])`` on row ``i``, over any leading batch axes."""
+        x = np.asarray(x, dtype=float)
+        calls = [getattr(sf, method) for sf in self._sfs]
+        out = np.empty(x.shape)
+        for batch in np.ndindex(x.shape[:-1]):
+            out[batch] = [f(float(v)) for f, v in zip(calls, x[batch])]
+        return out
+
     def speeds(self, x: np.ndarray) -> np.ndarray:
-        return np.array(
-            [sf.speed(float(v)) for sf, v in zip(self._sfs, np.asarray(x, dtype=float))],
-            dtype=float,
-        )
+        return self._each("speed", x)
 
     def times(self, x: np.ndarray) -> np.ndarray:
-        return np.array(
-            [sf.time(float(v)) for sf, v in zip(self._sfs, np.asarray(x, dtype=float))],
-            dtype=float,
-        )
+        return self._each("time", x)
 
     def time_one(self, i: int, x: float) -> float:
         return float(self._sfs[i].time(float(x)))

@@ -8,11 +8,11 @@ This package turns the one-shot geometric algorithms of
   fingerprints their content for cache keying;
 * :class:`~repro.planner.cache.PlanCache` — thread-safe LRU of computed
   plans with hit/miss/eviction counters;
-* :class:`~repro.planner.planner.Planner` — cached, warm-started
-  single queries (:meth:`~repro.planner.planner.Planner.plan`) and
-  batched monotone slope sweeps
-  (:meth:`~repro.planner.planner.Planner.plan_many`), all bit-identical
-  to cold :func:`~repro.core.bisection.partition_bisection` runs.
+* :class:`~repro.planner.planner.Planner` — cached single queries
+  (:meth:`~repro.planner.planner.Planner.plan`) and batched lockstep
+  sweeps (:meth:`~repro.planner.planner.Planner.plan_many`), all
+  bit-identical to cold
+  :func:`~repro.core.bisection.partition_bisection` runs.
 """
 
 from .cache import CacheStats, PlanCache

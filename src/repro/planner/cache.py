@@ -13,8 +13,13 @@ the ``planner.cache.invalidations`` metric.
 
 The implementation is a classic ``OrderedDict`` LRU under a single lock
 (every operation is O(1) and holds the lock for nanoseconds, so one lock
-beats sharding at any realistic query rate).  The hit/miss/eviction
-counters are :class:`repro.obs.Counter` objects registered in the global
+beats sharding at any realistic query rate).  Until a plan is asked for
+again, its ``int64`` allocation — the bulk of a large-``p`` plan — is
+kept in the fewest bytes per value that hold it (three at p=1080) next
+to a weak reference; the first hit returns the plan, or an equal rebuild
+once no caller holds it, and the cache keeps it whole.  The
+hit/miss/eviction counters are :class:`repro.obs.Counter` objects
+registered in the global
 :class:`~repro.obs.MetricsRegistry` under a per-instance ``cache`` label
 — :meth:`stats` and ``repro stats`` read the *same* objects, so the
 :class:`CacheStats` snapshot and the exported telemetry can never
@@ -25,16 +30,61 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Hashable
 
+import numpy as np
+
 from .. import obs
+from ..core.result import PartitionResult
 
 __all__ = ["CacheStats", "PlanCache"]
 
 #: Distinguishes auto-named cache instances in the metrics registry.
 _CACHE_SEQ = itertools.count(1)
+
+
+#: Fields a compact plan keeps as they are (planner plans have no trace).
+_KEPT = tuple(
+    f.name for f in fields(PartitionResult) if f.name not in ("allocation", "trace")
+)
+
+
+class _Rows:
+    """Rows of ``width`` little-endian bytes per value, for one allocation
+    length, in one table: its pages become resident only as rows are
+    written, and no cached row sits in a heap hole between temporaries."""
+
+    def __init__(self, length: int, width: int, count: int):
+        self.table = np.empty((count, length, width), dtype=np.uint8)
+        self.place = 256 ** np.arange(width, dtype=np.int64)
+        self.free = list(range(count))
+
+
+class _Compact:
+    """A cached plan not asked for again yet: its allocation in a table
+    row, its other fields as they are, and a weak reference to it."""
+
+    __slots__ = ("_rows", "_row", "_kept", "_live")
+
+    def __init__(self, plan: PartitionResult, rows: _Rows, row: int):
+        le_bytes = plan.allocation.astype("<u4").view(np.uint8).reshape(-1, 4)
+        rows.table[row] = le_bytes[:, : rows.place.size]
+        self._rows, self._row, self._live = rows, row, weakref.ref(plan)
+        self._kept = tuple(getattr(plan, name) for name in _KEPT)
+
+    def __del__(self) -> None:
+        self._rows.free.append(self._row)
+
+    def plan(self) -> PartitionResult:
+        """The plan itself while a caller holds it, else an equal rebuild."""
+        plan = self._live()
+        if plan is None:
+            allocation = self._rows.table[self._row].astype(np.int64) @ self._rows.place
+            plan = PartitionResult(allocation=allocation, **dict(zip(_KEPT, self._kept)))
+        return plan
 
 
 @dataclass(frozen=True)
@@ -76,6 +126,7 @@ class PlanCache:
         self._maxsize = int(maxsize)
         self._name = name or f"plancache-{next(_CACHE_SEQ)}"
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
+        self._rows: dict[tuple[int, int], _Rows] = {}
         self._lock = threading.Lock()
         labels = {"cache": self._name}
         registry = obs.get_registry()
@@ -104,10 +155,31 @@ class PlanCache:
                 return None
             self._data.move_to_end(key)
             self._hits.inc()
+            if isinstance(value, _Compact):
+                # A plan asked for again is kept whole from now on.
+                value = self._data[key] = value.plan()
+            return value
+
+    def _stored(self, value: Any) -> Any:
+        """A plan as a :class:`_Compact` row of the fewest bytes per value
+        that hold its largest entry; anything else as given."""
+        if not isinstance(value, PartitionResult) or value.trace or not value.allocation.size:
+            return value
+        low, high = int(value.allocation.min()), int(value.allocation.max())
+        if low < 0 or high >= 1 << 32:
+            return value
+        shape = (value.allocation.size, max(1, (high.bit_length() + 7) // 8))
+        rows = self._rows.get(shape) or self._rows.setdefault(
+            shape, _Rows(*shape, self._maxsize + 64)  # spare rows for puts in flight
+        )
+        try:
+            return _Compact(value, rows, rows.free.pop())
+        except IndexError:  # every row is held by a plan being stored
             return value
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) an entry, evicting the LRU entry if full."""
+        value = self._stored(value)
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)

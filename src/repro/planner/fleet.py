@@ -14,7 +14,7 @@ fleet:
 * a stable **content fingerprint** — the evaluator's hash of the knot
   arrays — used to key plan caches, so two fleets with identical models
   share cached plans even across reconstructions;
-* the combined memory capacity (the feasibility bound for any ``n``).
+* the combined memory capacity ``sum(max_i)``.
 
 A :class:`Fleet` is immutable: model updates (e.g. from
 :class:`repro.model.AdaptiveModel` drift detection) are expressed by
@@ -108,7 +108,8 @@ class Fleet:
 
     @property
     def capacity(self) -> float:
-        """Combined memory bound: the largest feasible problem size."""
+        """Combined memory bound ``sum(max_i)``; ``pack.max_total`` is the
+        largest feasible problem size, ``sum(floor(max_i))``."""
         return self._capacity
 
     @property

@@ -1,46 +1,38 @@
-"""The partition planner: cached, warm-started, batched plan queries.
+"""The partition planner: cached and batched plan queries.
 
 The geometric algorithms in :mod:`repro.core` solve one problem from
 scratch in ``O(p log n)``.  Production fleets answer a *stream* of
-partition queries over largely-stable models, which wastes almost all of
-that work: the optimal slope is monotone non-increasing in the problem
-size ``n``, so consecutive queries share most of their bisection
-trajectory.  :class:`Planner` exploits this three ways, in order of
-increasing savings:
+partition queries over largely-stable models.  :class:`Planner` serves
+that stream two ways:
 
 1. **plan cache** — an exact repeat of ``(fleet, n, algorithm, refine,
    mode)`` is a dictionary lookup (:class:`~repro.planner.cache.PlanCache`);
-2. **warm-started bisection** — a query for ``n'`` near a previously
-   solved ``n`` starts from that plan's converged
-   :class:`~repro.core.geometry.SlopeRegion` (repaired by
-   :func:`~repro.core.geometry.ensure_bracket` in ``O(log(n'/n))``
-   probes) instead of the cold figure-18 bracket;
-3. **batched slope sweep** — :meth:`Planner.plan_many` sorts the queried
-   sizes and sweeps the slope monotonically downward, so each query
-   warm-starts from its immediate predecessor and the whole batch is
-   resolved in one pass over the packed arrays.
+2. **batched lockstep sweep** — :meth:`Planner.plan_many` gives each
+   queried size its own figure-18 bracket in one batched evaluation and
+   advances every size together, one vectorised ray evaluation per
+   bisection step for the whole batch.
 
-All three paths return **bit-identical** allocations and makespans to a
-cold :func:`~repro.core.bisection.partition_bisection` run — warm starts
-change only *where the search starts*, never the refinement semantics —
-which the planner test-suite asserts property-style over random fleets.
+Every computed plan is a cold solve on the fleet's prebuilt evaluator,
+whose bisection steps search only the rows whose knot segment is still
+undecided (:meth:`~repro.core.vectorized.PiecewiseLinearSet.rays`).  Plans
+are therefore **bit-identical** to a cold
+:func:`~repro.core.bisection.partition_bisection` run — allocation,
+makespan and iteration count — which the planner test-suite asserts
+property-style over random fleets.  There are no warm starts: seeding a
+solve from a nearby size's converged bracket measured no faster than a
+cold solve.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from .. import obs
 from ..core.bisection import partition_bisection, partition_bisection_many
 from ..core.combined import partition_combined
-from ..core.geometry import SlopeRegion
 from ..core.modified import partition_modified
 from ..core.result import PartitionResult
 from ..exceptions import ConfigurationError
@@ -51,7 +43,7 @@ __all__ = ["Planner", "PlannerStats"]
 
 logger = logging.getLogger(__name__)
 
-#: Algorithms the planner can drive (they accept ``region=`` and ``pack=``).
+#: Algorithms the planner can drive (they accept ``pack=``).
 _PLANNER_ALGORITHMS = ("bisection", "combined", "modified")
 
 #: Distinguishes planner instances in the metrics registry.
@@ -62,9 +54,10 @@ _PLANNER_SEQ = itertools.count(1)
 class PlannerStats:
     """Immutable snapshot of a planner's activity counters.
 
-    ``cold_plans`` solved from the figure-18 initial bracket,
-    ``warm_plans`` from a reused bracket; ``cache`` aggregates the
-    underlying :class:`~repro.planner.cache.PlanCache` counters.
+    ``cold_plans`` counts every computed plan; ``warm_plans`` is always 0
+    (the planner has no warm starts; the field stays for existing readers).
+    ``cache`` aggregates the underlying
+    :class:`~repro.planner.cache.PlanCache` counters.
     """
 
     cold_plans: int
@@ -75,52 +68,8 @@ class PlannerStats:
     def plans_computed(self) -> int:
         return self.cold_plans + self.warm_plans
 
-    @property
-    def warm_rate(self) -> float:
-        """Fraction of computed plans that reused a converged bracket."""
-        total = self.plans_computed
-        return self.warm_plans / total if total else 0.0
-
     def __str__(self) -> str:
-        return (
-            f"cold={self.cold_plans} warm={self.warm_plans} cache[{self.cache}]"
-        )
-
-
-class _WarmIndex:
-    """Small LRU map ``n -> converged SlopeRegion`` with nearest lookup.
-
-    Deliberately independent from the plan cache: evicting a *plan* does
-    not invalidate its *bracket* — any converged region remains a valid
-    warm-start seed for ever (``ensure_bracket`` repairs whatever distance
-    remains), so the index keeps the most recently touched brackets even
-    for sizes whose full plans have been evicted.
-    """
-
-    def __init__(self, maxsize: int):
-        self._regions: OrderedDict[int, SlopeRegion] = OrderedDict()
-        self._maxsize = maxsize
-
-    def add(self, n: int, region: SlopeRegion | None) -> None:
-        if region is None:
-            return
-        if n in self._regions:
-            self._regions.move_to_end(n)
-        self._regions[n] = region
-        while len(self._regions) > self._maxsize:
-            self._regions.popitem(last=False)
-
-    def nearest(self, n: int) -> SlopeRegion | None:
-        if not self._regions:
-            return None
-        # The optimal slope decays roughly polynomially in n (the paper's
-        # common case), so "nearest" is measured in log-size space.
-        best = min(self._regions, key=lambda m: abs(np.log(m) - np.log(n)))
-        self._regions.move_to_end(best)
-        return self._regions[best]
-
-    def __len__(self) -> int:
-        return len(self._regions)
+        return f"plans={self.plans_computed} cache[{self.cache}]"
 
 
 class Planner:
@@ -138,8 +87,6 @@ class Planner:
         :func:`~repro.core.bisection.partition_bisection`).
     cache_size:
         Capacity of the LRU plan cache.
-    warm_candidates:
-        Number of converged brackets retained for warm-starting.
     cache:
         An externally constructed :class:`~repro.planner.cache.PlanCache`
         to use instead of building one (``cache_size`` is then ignored).
@@ -148,9 +95,9 @@ class Planner:
         pool's shared warm store.
 
     Thread safety: :meth:`plan` and :meth:`plan_many` may be called
-    concurrently; the cache and the warm index are lock-protected, and the
-    solvers themselves are pure.  Two racing misses for the same key both
-    solve and both store the same (bit-identical) plan.
+    concurrently; the cache is lock-protected, and the solvers themselves
+    are pure.  Two racing misses for the same key both solve and both
+    store the same (bit-identical) plan.
     """
 
     def __init__(
@@ -161,7 +108,6 @@ class Planner:
         mode: str = "tangent",
         refine: str = "greedy",
         cache_size: int = 1024,
-        warm_candidates: int = 64,
         cache: PlanCache | None = None,
     ):
         if algorithm not in _PLANNER_ALGORITHMS:
@@ -175,22 +121,14 @@ class Planner:
         self._refine = refine
         instance = f"{fleet.name}#{next(_PLANNER_SEQ)}"
         self._cache = cache if cache is not None else PlanCache(cache_size, name=instance)
-        self._warm = _WarmIndex(warm_candidates)
-        self._lock = threading.Lock()
-        labels = {"planner": instance}
-        registry = obs.get_registry()
-        self._cold_plans = registry.counter(
-            "planner.plans.cold", labels=labels,
-            help="plans solved from the figure-18 initial bracket",
-        )
-        self._warm_plans = registry.counter(
-            "planner.plans.warm", labels=labels,
-            help="plans solved from a reused converged bracket",
+        self._plans = obs.get_registry().counter(
+            "planner.plans.cold", labels={"planner": instance},
+            help="plans computed (every plan is a cold solve)",
         )
         logger.debug(
             "planner created", extra={
                 "fleet": fleet.name, "p": fleet.p, "algorithm": algorithm,
-                "cache_size": cache_size, "warm_candidates": warm_candidates,
+                "cache_size": cache_size,
             },
         )
 
@@ -209,9 +147,7 @@ class Planner:
 
     def stats(self) -> PlannerStats:
         return PlannerStats(
-            cold_plans=self._cold_plans.value,
-            warm_plans=self._warm_plans.value,
-            cache=self._cache.stats(),
+            cold_plans=self._plans.value, warm_plans=0, cache=self._cache.stats()
         )
 
     # -- internals ------------------------------------------------------
@@ -224,75 +160,52 @@ class Planner:
             self._mode,
         )
 
-    def _solve(self, n: int, region: SlopeRegion | None) -> PartitionResult:
+    def _solve(self, n: int) -> PartitionResult:
         sfs = self._fleet.speed_functions
         pack = self._fleet.pack
-        warm = region is not None
-        with obs.span(
-            "planner.solve", n=n, algorithm=self._algorithm, warm=warm
-        ):
+        with obs.span("planner.solve", n=n, algorithm=self._algorithm):
             if self._algorithm == "bisection":
                 result = partition_bisection(
-                    n, sfs, mode=self._mode, refine=self._refine,
-                    region=region, pack=pack,
+                    n, sfs, mode=self._mode, refine=self._refine, pack=pack
                 )
             elif self._algorithm == "combined":
                 result = partition_combined(
-                    n, sfs, mode=self._mode, refine=self._refine,
-                    region=region, pack=pack,
+                    n, sfs, mode=self._mode, refine=self._refine, pack=pack
                 )
             else:
-                result = partition_modified(
-                    n, sfs, refine=self._refine, region=region, pack=pack,
-                )
-        (self._warm_plans if warm else self._cold_plans).inc()
+                result = partition_modified(n, sfs, refine=self._refine, pack=pack)
+        self._plans.inc()
         logger.debug(
-            "plan solved",
-            extra={"n": n, "warm": warm, "iterations": result.iterations},
+            "plan solved", extra={"n": n, "iterations": result.iterations}
         )
         return result
 
-    def _record(self, n: int, result: PartitionResult) -> None:
-        self._cache.put(self._key(n), result)
-        with self._lock:
-            self._warm.add(n, result.region)
-
     # -- queries --------------------------------------------------------
     def plan(self, n: int) -> PartitionResult:
-        """Answer one partition query, as cheaply as the history allows.
+        """Answer one partition query: the cached plan, or a cold solve.
 
-        Cache hit → stored plan (treat it as immutable).  Miss → solve,
-        warm-started from the nearest previously converged bracket when
-        one exists, and remember both the plan and its bracket.
+        Cache hit → stored plan (treat it as immutable).  Miss → solve on
+        the fleet's prebuilt evaluator and remember the plan.
         """
         n = int(n)
         cached = self._cache.get(self._key(n))
         if cached is not None:
             return cached
-        if n <= 0:
-            # Degenerate queries skip the warm machinery entirely.
-            result = self._solve(n, None)
-            self._cache.put(self._key(n), result)
-            return result
-        with self._lock:
-            region = self._warm.nearest(n)
-        result = self._solve(n, region)
-        self._record(n, result)
+        result = self._solve(n)
+        self._cache.put(self._key(n), result)
         return result
 
     def plan_many(self, ns: Iterable[int]) -> list[PartitionResult]:
-        """Answer a batch of queries in one monotone slope sweep.
+        """Answer a batch of queries in one lockstep sweep.
 
         Uncached sizes are handed to
-        :func:`~repro.core.bisection.partition_bisection_many`, which solves
-        them ascending (the slope only moves downward, so each size's
-        bracket is repaired from its predecessor's) and advances all of
-        them in lockstep, intersecting every pending midpoint ray with the
-        packed graphs in a single vectorised call per bisection step.
+        :func:`~repro.core.bisection.partition_bisection_many`, which gives
+        each size its own figure-18 bracket from one batched evaluation
+        and advances all of them in lockstep, evaluating every pending
+        midpoint ray in a single vectorised call per bisection step.
         Results come back in the order the sizes were given; duplicates
         and previously planned sizes are served from the cache.  For
-        non-bisection algorithms the batch degrades to sequential
-        warm-started solves.
+        non-bisection algorithms the batch is solved size by size.
         """
         sizes = [int(n) for n in ns]
         results: list[PartitionResult | None] = [None] * len(sizes)
@@ -307,9 +220,6 @@ class Planner:
             return results  # type: ignore[return-value]
 
         todo = sorted({sizes[idx] for idx in missing})
-        with self._lock:
-            seed = self._warm.nearest(todo[0]) if todo[0] > 0 else None
-
         if self._algorithm == "bisection":
             with obs.span(
                 "planner.plan_many", sizes=len(sizes), solved=len(todo)
@@ -319,28 +229,17 @@ class Planner:
                     self._fleet.speed_functions,
                     mode=self._mode,
                     refine=self._refine,
-                    region=seed,
                     pack=self._fleet.pack,
                 )
             by_size = dict(zip(todo, batch))
-            cold = 1 if seed is None else 0
-            if cold:
-                self._cold_plans.inc(cold)
-            self._warm_plans.inc(len(todo) - cold)
+            self._plans.inc(len(todo))
             logger.debug(
-                "batch solved",
-                extra={"sizes": len(sizes), "solved": len(todo), "seeded": not cold},
+                "batch solved", extra={"sizes": len(sizes), "solved": len(todo)}
             )
         else:
-            by_size = {}
-            region = seed
-            for n in todo:
-                result = self._solve(n, region if n > 0 else None)
-                by_size[n] = result
-                if result.region is not None:
-                    region = result.region
+            by_size = {n: self._solve(n) for n in todo}
         for n, result in by_size.items():
-            self._record(n, result)
+            self._cache.put(self._key(n), result)
         for idx in missing:
             results[idx] = by_size[sizes[idx]]
         return results  # type: ignore[return-value]

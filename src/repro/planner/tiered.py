@@ -272,7 +272,7 @@ class TieredPlanCache(PlanCache):
 
 
 def _strip(value: Any) -> Any:
-    """Shed the warm-start bracket before a value crosses process lines.
+    """Shed the converged bracket before a value crosses process lines.
 
     The ``region`` is by far the heaviest field and is only meaningful
     to the planner that converged it; the mirrored plan stays

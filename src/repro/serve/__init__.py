@@ -14,8 +14,8 @@ that question thousands of times per second, so this package wraps the
   fleet fingerprint to one worker shard;
 * :mod:`repro.serve.shard` — the sharded worker pool (threads or
   ``multiprocessing``): each shard owns the :class:`~repro.planner.Planner`
-  instances for its fingerprints, so plan caches and warm-started slope
-  regions stay shard-local and lock-free;
+  instances for its fingerprints, so plan caches stay shard-local and
+  lock-free;
 * :mod:`repro.serve.frontend` — the request pipeline (parse, trace,
   dispatch, envelope, record) this package's service and the
   :mod:`repro.cluster` router share;

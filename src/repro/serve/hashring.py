@@ -2,7 +2,7 @@
 
 Every fleet fingerprint must be answered by exactly one shard, because
 that shard's process-local :class:`~repro.planner.Planner` holds the
-fleet's plan cache and warm-started slope regions — routing the same
+fleet's plan cache — routing the same
 fingerprint to two shards would halve the cache hit rate and double the
 memory.  A plain ``hash(fp) % shards`` would do for a fixed pool, but it
 reshuffles *every* fingerprint when the pool is resized; the classic

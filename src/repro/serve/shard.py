@@ -3,10 +3,10 @@
 Each worker shard owns the :class:`~repro.planner.Planner` instances for
 the fleet fingerprints the :class:`~repro.serve.hashring.HashRing`
 assigns to it.  Ownership is exclusive, which is the whole point: a
-planner's LRU plan cache and warm-started slope regions are only useful
-when every query for a fleet lands on the *same* planner, and keeping
-each planner single-owner makes the hot path lock-free in practice (the
-planner's internal locks never contend).
+planner's LRU plan cache is only useful when every query for a fleet
+lands on the *same* planner, and keeping each planner single-owner makes
+the hot path lock-free in practice (the planner's internal locks never
+contend).
 
 Two worker flavours share one loop (:func:`worker_loop`):
 
@@ -144,7 +144,7 @@ def worker_loop(
 
     Reads ``(kind, job_id, ...)`` tuples from ``inbox`` until the ``None``
     sentinel, answering each with ``(job_id, payload)`` on ``outbox``.
-    All fleet state — planners, capacities — is local to this function
+    All fleet state — the planners — is local to this function
     invocation, so nothing here needs a lock.
 
     ``warm`` is the pool's shared plan store;
@@ -153,19 +153,15 @@ def worker_loop(
     that survived its predecessor in the inbox still find their fleets.
     """
     planners: dict = {}
-    capacities: dict[str, float] = {}
     # Plans invalidated by refits, per serving fingerprint: a refit swaps
     # in a fresh planner (and a fresh cache), so this is carried here to
     # keep the fleet's lifetime invalidation count in its stats row.
     refit_invalidations: dict[str, int] = {}
     for serving_fp, spec in initial_specs:
         try:
-            fleet, planner = _build_planner(spec, warm)
+            planners[serving_fp] = _build_planner(spec, warm)[1]
         except Exception:  # noqa: BLE001 - a bad spec must not kill the shard
             logger.exception("shard %d could not rebuild fleet %s", shard_id, serving_fp)
-            continue
-        planners[serving_fp] = planner
-        capacities[serving_fp] = fleet.capacity
     while True:
         msg = inbox.get()
         if msg is None:
@@ -181,7 +177,6 @@ def worker_loop(
                 spec: Mapping = msg[2]
                 fleet, planner = _build_planner(spec, warm)
                 planners[fleet.fingerprint] = planner
-                capacities[fleet.fingerprint] = fleet.capacity
                 outbox.put(
                     (
                         job_id,
@@ -198,7 +193,7 @@ def worker_loop(
                 fingerprint, items, trace = msg[2], msg[3], msg[4]
                 if trace is None:
                     outbox.put(
-                        (job_id, _solve_batch(planners, capacities, fingerprint, items))
+                        (job_id, _solve_batch(planners, fingerprint, items))
                     )
                 else:
                     # Capture a detached span subtree for this batch: the
@@ -214,7 +209,7 @@ def worker_loop(
                         batch_span.parent_id = str(trace.get("span_id") or "")
                         batch_span.span_id = new_span_id()
                         payload = _solve_batch(
-                            planners, capacities, fingerprint, items,
+                            planners, fingerprint, items,
                             batch_span=batch_span,
                         )
                     payload["spans"] = batch_span.to_dict()
@@ -244,7 +239,6 @@ def worker_loop(
                 )
                 fleet, planner = _build_planner(spec, warm)
                 planners[serving_fp] = planner
-                capacities[serving_fp] = fleet.capacity
                 outbox.put(
                     (
                         job_id,
@@ -286,7 +280,6 @@ def worker_loop(
 
 def _solve_batch(
     planners,
-    capacities,
     fingerprint: str,
     items: Sequence[Mapping],
     *,
@@ -306,7 +299,10 @@ def _solve_batch(
         if batch_span is not None:
             _add_item_spans(batch_span, items, results)
         return {"ok": True, "results": results}
-    capacity = capacities[fingerprint]
+    # The most an integer plan can hold: sum(floor(max_i)), which sits
+    # below the fleet's ``capacity`` (sum(max_i)) whenever a bound is
+    # fractional.  Sizes past it must fail alone, not sink the batch.
+    capacity = planner.fleet.pack.max_total
     now = time.time()
     results: list[dict | None] = [None] * len(items)
     solvable: list[int] = []
@@ -320,12 +316,12 @@ def _solve_batch(
         elif n < 0 or n > capacity:
             results[i] = _item_error(
                 "infeasible",
-                f"n={n} is outside the fleet's feasible range [0, {capacity:g}]",
+                f"n={n} is outside the fleet's feasible range [0, {capacity:.0f}]",
             )
         else:
             solvable.append(i)
     if solvable:
-        # One monotone slope sweep answers the whole batch; items needing
+        # One lockstep sweep answers the whole batch; items needing
         # allocations keep them, the rest stay summary-only on the wire.
         t0 = time.perf_counter()
         try:

@@ -11,8 +11,8 @@ the library can produce a plan:
   :class:`~repro.core.vectorized.ObjectSet` evaluator;
 * ``partition_modified`` / ``partition_combined`` / ``partition_exact``;
 * ``partition_bounded`` (bisection vs exact over the truncated fleet);
-* :class:`~repro.planner.Planner` — cold, cache-hit, warm-started and
-  batched (``plan_many``) paths;
+* :class:`~repro.planner.Planner` — cold, cache-hit and batched
+  (``plan_many``) paths, iteration counts included;
 * an in-process :class:`~repro.serve.service.PlanningService`, so
   served plans are conformance-checked end to end.
 
@@ -356,9 +356,15 @@ class _CaseChecker:
         other: _Outcome,
         *,
         bit_identical: bool = False,
+        same_iterations: bool = False,
         rtol: float = MAKESPAN_RTOL,
     ) -> None:
-        """Classify ``other`` against the reference outcome."""
+        """Classify ``other`` against the reference outcome.
+
+        ``same_iterations`` also holds the path to the reference's
+        bisection step count: it must run the cold solve's steps, not just
+        land on its plan.
+        """
         self.report.comparisons += 1
         if other[0] == "error":
             self.note(n, kind, "bug", f"unexpected exception: {other[1]}")
@@ -378,6 +384,13 @@ class _CaseChecker:
         same_makespan = math.isclose(
             float(want.makespan), float(got.makespan), rel_tol=rtol, abs_tol=rtol
         )
+        if same_iterations and got.iterations != want.iterations:
+            self.note(
+                n, kind, "bug",
+                f"{got.iterations} bisection steps, the cold solve took "
+                f"{want.iterations}",
+            )
+            return
         if bit_identical:
             if same_alloc and float(want.makespan) == float(got.makespan):
                 return
@@ -523,7 +536,8 @@ def _run_case(
         # -- planner: cold then cache hit (bit-identical guarantees) ----
         cold = _attempt(lambda: planner.plan(n))
         report.solves += 1
-        checker.compare(n, "planner-cold", ref, cold, bit_identical=True)
+        checker.compare(n, "planner-cold", ref, cold, bit_identical=True,
+                        same_iterations=True)
         cached = _attempt(lambda: planner.plan(n))
         checker.compare(n, "planner-cached", ref, cached, bit_identical=True)
 
@@ -550,15 +564,9 @@ def _run_case(
                 for v in cert.violations:
                     checker.note(n, f"bounded-certificate:{v.check}", "bug", v.message)
 
-    # -- planner warm + batched sweeps over every feasible size ---------
+    # -- batched sweeps over every feasible size ------------------------
     feasible = [n for n, ref in refs if ref[0] == "ok"]
     if feasible:
-        warm_planner = Planner(fleet)
-        for n in feasible:  # first solve is cold, the rest warm-start
-            warm = _attempt(lambda: warm_planner.plan(n))
-            report.solves += 1
-            ref = next(r for m, r in refs if m == n)
-            checker.compare(n, "planner-warm", ref, warm, bit_identical=True)
         batched = _attempt(lambda: Planner(fleet).plan_many(feasible))
         report.solves += len(feasible)
         if batched[0] != "ok":
@@ -568,13 +576,14 @@ def _run_case(
             for n, got in zip(feasible, batched[1]):
                 ref = next(r for m, r in refs if m == n)
                 checker.compare(n, "planner-batched", ref, ("ok", got),
-                                bit_identical=True)
+                                bit_identical=True, same_iterations=True)
         many = _attempt(lambda: partition_bisection_many(feasible, sfs))
         report.solves += len(feasible)
         if many[0] == "ok":
             for n, got in zip(feasible, many[1]):
                 ref = next(r for m, r in refs if m == n)
-                checker.compare(n, "bisection-many", ref, ("ok", got))
+                checker.compare(n, "bisection-many", ref, ("ok", got),
+                                bit_identical=True, same_iterations=True)
         else:
             checker.note(feasible[0], "bisection-many", "bug",
                          f"partition_bisection_many failed: {many[1]}")

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ConstantSpeedFunction, InfeasiblePartitionError
+from repro import (
+    ConstantSpeedFunction,
+    InfeasiblePartitionError,
+    PiecewiseLinearSpeedFunction,
+    partition_bisection,
+)
 from repro.core.geometry import SlopeRegion, ensure_bracket, initial_bracket
 from repro.core.vectorized import ObjectSet, pack_speed_functions
 from tests.conftest import make_hump_pwl, make_increasing_pwl, make_pwl
@@ -57,6 +62,25 @@ class TestInitialBracket:
         sfs = [make_pwl(100.0), make_pwl(50.0)]
         region = initial_bracket(sfs, int(2e6 + 2e6) - 1)
         assert region.lower > 0
+
+    def test_unreachable_size_fails_before_any_ray(self, monkeypatch):
+        # Fractional bounds: sum(max_i) = 2001 but an integer plan holds
+        # at most sum(floor(max_i)) = 2000 elements.
+        sfs = [
+            PiecewiseLinearSpeedFunction(np.array([10.0, 1000.5]), np.array([50.0, 40.0])),
+            PiecewiseLinearSpeedFunction(np.array([20.0, 1000.5]), np.array([30.0, 25.0])),
+        ]
+        pack = pack_speed_functions(sfs)
+        assert pack.max_total == 2000 < sum(sf.max_size for sf in sfs)
+
+        def no_rays(*args, **kwargs):
+            raise AssertionError("a ray was evaluated")
+
+        monkeypatch.setattr(pack, "rays", no_rays)
+        with pytest.raises(InfeasiblePartitionError, match="2000 elements"):
+            partition_bisection(2001, sfs, pack=pack)
+        monkeypatch.undo()
+        assert int(partition_bisection(2000, sfs, pack=pack).allocation.sum()) == 2000
 
     def test_rejects_empty(self):
         with pytest.raises(InfeasiblePartitionError):

@@ -511,3 +511,126 @@ class TestObjectSetEvaluator:
         np.testing.assert_array_equal(
             serial["packed"].allocation, serial["objects"].allocation
         )
+
+
+def _decorated_fleet(rng):
+    """One row per pack decoration: scale, comm, truncation, step drops,
+    and knot widths from 2 to 23 (narrow rows are padded)."""
+
+    def peak() -> float:
+        return float(10.0 ** rng.uniform(1.0, 2.5))
+
+    bs = np.sort(10.0 ** rng.uniform(3.0, 6.3, 3))
+    knee, top = float(10.0 ** rng.uniform(4.0, 5.5)), peak()
+    table = AnalyticSpeedFunction(
+        lambda x: top / (1.0 + np.asarray(x, dtype=float) / knee), max_size=2e6
+    ).tabulate(np.geomspace(1e3, 2e6, int(rng.integers(8, 24))))
+    comm_base = make_pwl(peak())
+    unit = 1.0 / float(comm_base.speed(1e3))
+    return [
+        make_pwl(peak(), scale=float(rng.uniform(0.5, 4.0))),
+        make_pwl(peak()).scaled(float(rng.uniform(0.2, 5.0))),
+        StepSpeedFunction(bs, peak() * np.array([1.0, 0.5, 0.05])),
+        TruncatedSpeedFunction(make_hump_pwl(peak()), float(rng.uniform(2e4, 1.9e6))),
+        CommAwareSpeedFunction(
+            comm_base,
+            startup_s=float(rng.uniform(0.0, 50.0)) * unit,
+            seconds_per_element=float(rng.uniform(0.0, 0.5)) * unit,
+        ),
+        ConstantSpeedFunction(peak(), max_size=float(10.0 ** rng.uniform(4.0, 6.5))),
+        table,
+    ]
+
+
+class TestActiveSetSteps:
+    """``rays`` inside a bracket searches only the undecided rows, and
+    nothing it returns differs from a full search."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_active_set_step_equals_the_plain_step(self, seed):
+        rng = np.random.default_rng(seed)
+        pack = pack_speed_functions(_decorated_fleet(rng))
+        assert isinstance(pack, PiecewiseLinearSet)
+        assert pack._has_scale and pack._has_comm and pack._has_trunc
+        for _ in range(4):
+            lower, upper = (float(c) for c in np.sort(10.0 ** rng.uniform(-7, 2, 2)))
+            region = SlopeRegion(upper=upper, lower=lower)
+            _, (steep, shallow) = pack.rays([upper, lower])
+            inside = min(max(lower + (upper - lower) * rng.random(), lower), upper)
+            mids = [lower, upper, inside, region.midpoint(), region.midpoint("angle")]
+            for mid in mids:
+                got, seg = pack.rays(mid, steep, shallow)
+                np.testing.assert_array_equal(got, pack.allocations(mid))
+                np.testing.assert_array_equal(seg, pack.rays(mid)[1])
+            # The lockstep form: one bracket per batch row.
+            got, _ = pack.rays(mids, np.tile(steep, (5, 1)), np.tile(shallow, (5, 1)))
+            np.testing.assert_array_equal(got, pack.allocations_many(mids))
+        for slope in 10.0 ** rng.uniform(-7, 2, 8):
+            np.testing.assert_array_equal(
+                pack.allocations(float(slope)), pack.allocations_many([slope])[0]
+            )
+
+    def test_large_batches_are_evaluated_in_slices(self, monkeypatch):
+        import repro.core.vectorized as vectorized
+
+        rng = np.random.default_rng(7)
+        pack = pack_speed_functions(_decorated_fleet(rng))
+        slopes = np.sort(10.0 ** rng.uniform(-7, 2, 7))
+        whole, segs = pack.rays(slopes)
+        steep, shallow = np.repeat(segs[-1:], 7, axis=0), np.repeat(segs[:1], 7, axis=0)
+        sizes = np.outer(np.geomspace(0.01, 0.99, 7), pack.max_sizes)
+        speeds = pack.speeds(sizes)
+        monkeypatch.setattr(vectorized, "_BATCH_PAIRS", 2 * pack.p)
+        np.testing.assert_array_equal(pack.allocations_many(slopes), whole)
+        np.testing.assert_array_equal(pack.rays(slopes, steep, shallow)[0], whole)
+        np.testing.assert_array_equal(pack.speeds(sizes), speeds)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_speeds_and_times_keep_knot_pad_and_bound_sizes(self, seed):
+        rng = np.random.default_rng(seed)
+        sfs = _decorated_fleet(rng)
+        pack = pack_speed_functions(sfs)
+        knots = [sf.as_knots().sizes for sf in sfs]
+        probes = [
+            np.array([k[rng.integers(k.size)] for k in knots]),  # knot-exact
+            np.array([k[-1] for k in knots]),  # the size every pad column repeats
+            np.array([np.nextafter(k[rng.integers(k.size)], np.inf) for k in knots]),
+            pack.max_sizes * 1.5,  # past the bound
+        ]
+        objects = ObjectSet(sfs)
+        comm = pack._comm_mask
+        for xs in probes:
+            speeds, times = pack.speeds(xs), pack.times(xs)
+            np.testing.assert_array_equal(speeds[~comm], objects.speeds(xs)[~comm])
+            np.testing.assert_array_equal(times[~comm], objects.times(xs)[~comm])
+            for i in range(pack.p):
+                assert pack.time_one(i, float(xs[i])) == times[i]
+            # Batched sizes evaluate row by row, bit for bit.
+            np.testing.assert_array_equal(pack.speeds(np.stack([xs, xs]))[1], speeds)
+
+    def test_cold_solves_search_at_most_half_the_rows(self, monkeypatch):
+        from repro.experiments import build_network_models, tile_speed_functions
+        from repro.machines import table2_network
+
+        sfs = tile_speed_functions(
+            build_network_models(table2_network(), "matmul"), 1080
+        )
+        pack = pack_speed_functions(sfs)
+        searched = []
+        search = PiecewiseLinearSet._segments
+
+        def counted(self, cq, rows=None):
+            k = search(self, cq, rows)
+            searched.append(k.size)
+            return k
+
+        monkeypatch.setattr(PiecewiseLinearSet, "_segments", counted)
+        rng = np.random.default_rng(2004)
+        evaluations = 0
+        for n in rng.integers(int(0.02 * pack.max_total), int(0.9 * pack.max_total), 50):
+            result = partition_bisection(int(n), sfs, pack=pack)
+            evaluations += pack.p * (result.iterations + 2)
+        # Full-fleet searches on every step would send all of them.
+        assert sum(searched) <= evaluations / 2

@@ -70,22 +70,22 @@ class TestPlannerMetrics:
         planner = Planner(Fleet(heterogeneous_trio, name="obs-test"))
         planner.plan(N)
         planner.plan(N)          # hit
-        planner.plan(N + 500)    # miss (warm start)
+        planner.plan(N + 500)    # miss
         stats = planner.cache.stats()
         cache = planner.cache.name
         assert stats.hits == _counter_value("planner.cache.hits", cache=cache) == 1
         assert stats.misses == _counter_value("planner.cache.misses", cache=cache) == 2
 
     def test_warm_and_cold_plans_counted_without_enable(self, fresh_obs, heterogeneous_trio):
-        # Structural counters are always on — no obs.enable() here.
+        # Structural counters are always on — no obs.enable() here.  Warm
+        # starts are removed: every computed plan counts as cold.
         planner = Planner(Fleet(heterogeneous_trio, name="obs-test"))
         planner.plan(N)
         planner.plan(N + 500)
         planner.plan(N + 1000)
         stats = planner.stats()
-        assert stats.cold_plans == 1
-        assert stats.warm_plans == 2
-        assert stats.warm_rate == pytest.approx(2 / 3)
+        assert stats.plans_computed == stats.cold_plans == 3
+        assert stats.warm_plans == 0
 
     def test_enabled_planner_emits_solve_spans(self, fresh_obs, heterogeneous_trio):
         planner = Planner(Fleet(heterogeneous_trio, name="obs-test"))
@@ -94,7 +94,7 @@ class TestPlannerMetrics:
         planner.plan(N)  # cache hit: deliberately span-free
         roots = obs.get_tracer().roots()
         assert [r.name for r in roots] == ["planner.solve"]
-        assert roots[0].attrs["warm"] is False
+        assert roots[0].attrs["n"] == N
         hist = obs.get_registry().get("planner.solve.seconds")
         assert hist.count == 1
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 
+import numpy as np
 import pytest
 
-from repro import PlanCache
+from repro import PlanCache, partition_bisection
 
 
 class TestBasics:
@@ -38,6 +40,34 @@ class TestBasics:
     def test_invalid_maxsize(self):
         with pytest.raises(ValueError):
             PlanCache(0)
+
+
+class TestCompactPlans:
+    def test_a_dropped_plan_comes_back_equal_from_the_narrow_copy(self, heterogeneous_trio):
+        n = 1_000_000
+        cold = partition_bisection(n, heterogeneous_trio)
+        c = PlanCache(4)
+        c.put("k", partition_bisection(n, heterogeneous_trio))
+        gc.collect()
+        (stored,) = c._data.values()
+        assert stored._rows.place.size == 3  # the largest entry needs 3 bytes, not 8
+        rebuilt = c.get("k")
+        assert rebuilt.allocation.dtype == np.int64
+        np.testing.assert_array_equal(rebuilt.allocation, cold.allocation)
+        assert (rebuilt.makespan, rebuilt.iterations, rebuilt.region) == (
+            cold.makespan, cold.iterations, cold.region
+        )
+        # A plan asked for again stays whole: every later hit is that object.
+        del rebuilt
+        assert c.get("k") is c.get("k")
+        (stored,) = c._data.values()
+        assert stored.allocation.dtype == np.int64
+
+    def test_values_that_are_not_plans_are_kept_as_given(self):
+        c = PlanCache(4)
+        value = {"allocation": [1, 2]}
+        c.put("k", value)
+        assert c.get("k") is value
 
 
 class TestLRU:

@@ -1,10 +1,13 @@
 """Planner equivalence and behaviour tests.
 
-The load-bearing guarantee of the planner is *bit-identity*: a plan served
-warm (reused bracket), batched (monotone slope sweep), or from the cache
-must equal a cold :func:`repro.partition_bisection` run exactly — same
-integer allocations, same float makespan.  The hypothesis properties here
-assert that over random fleets and query streams.
+The load-bearing guarantee of the planner is *bit-identity*: every plan
+it computes is a cold solve, so a plan served by ``plan``, by the
+``plan_many`` lockstep sweep (unsorted, with duplicates), by the core
+``partition_bisection_many``, or from the cache must equal a cold
+:func:`repro.partition_bisection` run exactly — same integer
+allocations, same float makespan, same number of bisection steps.  The
+hypothesis properties here assert that over random fleets and query
+streams.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from repro import (
     PiecewiseLinearSpeedFunction,
     Planner,
     partition_bisection,
+    partition_bisection_many,
     partition_combined,
     partition_modified,
 )
@@ -74,28 +78,40 @@ def fleet_and_sizes(draw):
     return fleet, sizes
 
 
+def assert_cold_plan(got, cold):
+    """``got`` is the cold solve's plan, reached in the same steps."""
+    np.testing.assert_array_equal(got.allocation, cold.allocation)
+    assert got.makespan == cold.makespan
+    assert got.iterations == cold.iterations
+
+
 class TestBitIdentity:
     @settings(max_examples=60, deadline=None)
     @given(fleet_and_sizes())
-    def test_warm_plans_equal_cold_bisection(self, case):
+    def test_plans_equal_cold_bisection(self, case):
         fleet, sizes = case
         planner = Planner(fleet)
         for n in sizes:
-            cold = partition_bisection(n, fleet.speed_functions)
-            warm = planner.plan(n)
-            np.testing.assert_array_equal(warm.allocation, cold.allocation)
-            assert warm.makespan == cold.makespan
+            assert_cold_plan(planner.plan(n), partition_bisection(n, fleet.speed_functions))
 
     @settings(max_examples=60, deadline=None)
     @given(fleet_and_sizes())
     def test_plan_many_equals_cold_bisection(self, case):
         fleet, sizes = case
-        results = Planner(fleet).plan_many(sizes)
-        assert len(results) == len(sizes)
-        for n, r in zip(sizes, results):
-            cold = partition_bisection(n, fleet.speed_functions)
-            np.testing.assert_array_equal(r.allocation, cold.allocation)
-            assert r.makespan == cold.makespan
+        batch = sizes + sizes[::-1]  # unsorted, every size twice
+        results = Planner(fleet).plan_many(batch)
+        assert len(results) == len(batch)
+        for n, r in zip(batch, results):
+            assert_cold_plan(r, partition_bisection(n, fleet.speed_functions))
+
+    @settings(max_examples=40, deadline=None)
+    @given(fleet_and_sizes())
+    def test_bisection_many_equals_cold_bisection(self, case):
+        fleet, sizes = case
+        batch = sizes + sizes[::-1]
+        results = partition_bisection_many(batch, fleet.speed_functions)
+        for n, r in zip(batch, results):
+            assert_cold_plan(r, partition_bisection(n, fleet.speed_functions))
 
     @settings(max_examples=30, deadline=None)
     @given(fleet_and_sizes())
@@ -109,7 +125,7 @@ class TestBitIdentity:
 
     @settings(max_examples=20, deadline=None)
     @given(fleet_and_sizes(), st.sampled_from(["combined", "modified"]))
-    def test_other_algorithms_warm_equal_cold(self, case, algorithm):
+    def test_other_algorithms_equal_cold(self, case, algorithm):
         fleet, sizes = case
         cold_fn = {
             "combined": partition_combined,
@@ -117,10 +133,9 @@ class TestBitIdentity:
         }[algorithm]
         planner = Planner(fleet, algorithm=algorithm)
         for n in sizes:
-            cold = cold_fn(n, fleet.speed_functions)
-            warm = planner.plan(n)
-            np.testing.assert_array_equal(warm.allocation, cold.allocation)
-            assert warm.makespan == cold.makespan
+            assert_cold_plan(planner.plan(n), cold_fn(n, fleet.speed_functions))
+        for n, r in zip(sizes, Planner(fleet, algorithm=algorithm).plan_many(sizes)):
+            assert_cold_plan(r, cold_fn(n, fleet.speed_functions))
 
 
 class TestPlannerBehaviour:
@@ -144,17 +159,17 @@ class TestPlannerBehaviour:
             Planner(fleet, algorithm="magic")
 
     def test_counters_track_cold_warm_and_hits(self, fleet):
+        # Warm starts are removed: every computed plan counts as cold.
         planner = Planner(fleet)
         planner.plan(100)
         planner.plan(200)
         planner.plan(100)
         s = planner.stats()
-        assert s.cold_plans == 1
-        assert s.warm_plans == 1
-        assert s.plans_computed == 2
+        assert s.plans_computed == s.cold_plans == 2
+        assert s.warm_plans == 0
         assert s.cache.hits == 1
         assert s.cache.misses == 2
-        assert "cold=1" in str(s)
+        assert "plans=2" in str(s)
 
     def test_zero_size_plan(self, fleet):
         r = Planner(fleet).plan(0)
@@ -193,9 +208,7 @@ class TestPlannerBehaviour:
         assert isinstance(fleet.pack, PiecewiseLinearSet)
         planner = Planner(fleet)
         for n in (10, 321, 1234):
-            cold = partition_bisection(n, fleet.speed_functions)
-            warm = planner.plan(n)
-            np.testing.assert_array_equal(warm.allocation, cold.allocation)
+            assert_cold_plan(planner.plan(n), partition_bisection(n, fleet.speed_functions))
 
     def test_threaded_queries_consistent(self, fleet):
         import threading

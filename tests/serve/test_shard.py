@@ -7,11 +7,15 @@ be filled deterministically — no sleeps, no timing races.
 
 from __future__ import annotations
 
+import math
 import time
 
+import numpy as np
 import pytest
 
 from repro import ConfigurationError, Fleet, Planner
+from repro.core.step_model import StepSpeedFunction
+from repro.io import speed_function_to_dict
 from repro.serve.protocol import speed_functions_from_fleet_spec
 from repro.serve.shard import ShardPool
 
@@ -72,6 +76,34 @@ class TestSolving:
         assert ok["ok"] and ok2["ok"]
         assert bad_hi["code"] == "infeasible"
         assert bad_lo["code"] == "infeasible"
+
+    def test_an_unreachable_size_fails_alone(self):
+        # Step boundaries are fractional, so sum(max_i) sits above the
+        # sum(floor(max_i)) elements an integer plan can hold: a size in
+        # between must fail alone, not take its batch peers with it.
+        rng = np.random.default_rng(1080)
+        sfs = [
+            StepSpeedFunction(
+                np.array([2e5, 8e5, 4e6]) * rng.uniform(0.6, 1.4),
+                rng.uniform(40.0, 400.0)
+                * np.array([1.0, rng.uniform(0.3, 0.7), rng.uniform(0.02, 0.15)]),
+            )
+            for _ in range(8)
+        ]
+        fleet = Fleet(sfs, name="steps")
+        reachable = int(sum(math.floor(sf.max_size) for sf in sfs))
+        assert fleet.pack.max_total == reachable < reachable + 1 <= fleet.capacity
+        spec = {"name": "steps", "speed_functions": [speed_function_to_dict(sf) for sf in sfs]}
+        with ShardPool(1, queue_depth=8) as pool:
+            fp = _register(pool, spec)
+            payload = pool.submit_batch(
+                fp, [{"n": 1_000_000}, {"n": reachable + 1}]
+            ).result(timeout=60)
+        ok, over = payload["results"]
+        assert ok["ok"], ok
+        assert ok["allocation"] == Planner(fleet).plan(1_000_000).allocation.tolist()
+        assert over["code"] == "infeasible"
+        assert str(reachable) in over["message"]
 
     def test_expired_deadlines_are_answered_without_a_solve(self, trio_spec):
         with ShardPool(1, queue_depth=8) as pool:

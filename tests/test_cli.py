@@ -81,7 +81,7 @@ class TestCommands:
         assert "table2-lu-p24" in out
         assert "combined" in out
         assert "1000" in out and "50000" in out
-        assert "cold=1 warm=1" in out
+        assert "plans=2" in out
 
 
 class TestTelemetryFlags:
