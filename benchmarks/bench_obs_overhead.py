@@ -12,15 +12,16 @@ additionally pin the primitive costs so a regression in the gate itself
 multiplied into a hot loop.
 
 The serve-tracing gates at the bottom apply the same idiom to request
-tracing: the full per-request tracing budget (trace-context mint, span
-tree build, wire round-trip, flight-recorder write, exemplar) must stay
-under 5% of a served p=1080 request, and the tracing-disabled path —
-one branch plus a sampled-counter bump — under 2%.
+tracing: the full per-request tracing budget (trace-context mint, the
+spans built from the shard's timing record, flight-recorder write,
+exemplar) must stay under 5% of a served p=1080 request, and the
+tracing-disabled path — one branch plus a sampled-counter bump — under
+2%.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
+from time import perf_counter, time
 
 import pytest
 
@@ -33,7 +34,7 @@ from repro.obs.spans import Span
 from repro.planner import Fleet, Planner
 from repro.serve.client import ServeClient
 from repro.serve.server import start_in_thread
-from repro.serve.service import ServeConfig
+from repro.serve.service import ServeConfig, _batch_span, _item_span
 
 #: Acceptance bar from the ISSUE: disabled telemetry costs < 2%.
 MAX_DISABLED_OVERHEAD = 0.02
@@ -182,46 +183,31 @@ def _measure_served_request(fleet, *, tracing: bool) -> float:
     return best
 
 
-def _tracing_budget_once(hist, recorder, sink) -> None:
-    """Every tracing primitive one served ``plan`` request executes.
+#: The shard's timing record and the item verdict of a one-item batch.
+_TIMING = {"shard": 0, "started": 0.0, "seconds": 1e-3, "solve_seconds": 1e-3,
+           "sizes": 1}
+_ITEM = {"ok": True}
 
-    Mirrors the request lifecycle exactly: mint identity + root span
-    (listener ``_open_trace``), ship the context to the shard, build the
-    batch/solve/item span tree and serialize it back (worker), re-root
-    the subtree under the request span (``_deliver``), then observe the
-    latency with an exemplar, file the trace in the flight recorder and
-    feed the telemetry sink (``_close_trace``).
+
+def _tracing_budget_once(hist, recorder, sink) -> None:
+    """Every tracing step one served ``plan`` request executes.
+
+    Mirrors the request lifecycle of a batch of one, which is what
+    :func:`_measure_served_request`'s sequential client sees: mint
+    identity + root span (listener ``_open_trace``), mint the batch's two
+    shared span ids and build the batch, solve and item spans from the
+    shard's timing record with the functions ``_deliver`` calls
+    (``_batch_span``, ``_item_span``), then observe the latency with an
+    exemplar, file the trace in the flight recorder and feed the
+    telemetry sink (``_close_trace``).
     """
     ctx = TraceContext.new()
     root = Span(
         name="serve.plan", trace_id=ctx.trace_id, span_id=ctx.span_id,
-        attrs={"n": 2_000_000_000},
+        attrs={"n": 2_000_000_000}, started=time(),
     )
-    wire = ctx.to_dict()
-    batch = Span(
-        name="serve.shard.batch", span_id=new_span_id(),
-        trace_id=str(wire["trace_id"]), parent_id=str(wire["span_id"]),
-        attrs={"shard": 0, "items": 1},
-    )
-    batch.children.append(
-        Span(
-            name="serve.shard.solve", seconds=1e-3, span_id=new_span_id(),
-            trace_id=batch.trace_id, parent_id=batch.span_id,
-            attrs={"sizes": 1},
-        )
-    )
-    batch.children.append(
-        Span(
-            name="serve.shard.item", span_id=new_span_id(),
-            trace_id=batch.trace_id, parent_id=batch.span_id,
-            attrs={"n": 2_000_000_000, "request_span_id": ctx.span_id},
-        )
-    )
-    subtree = Span.from_dict(batch.to_dict())
-    for node in subtree.walk():
-        node.trace_id = ctx.trace_id
-    subtree.parent_id = root.span_id
-    root.children.append(subtree)
+    batch = _batch_span(root, _TIMING, new_span_id(), new_span_id(), 1)
+    _item_span(batch, 2_000_000_000, _ITEM)
     hist.observe(1e-3, exemplar=ctx.trace_id)
     root.seconds = 1e-3
     recorder.record(

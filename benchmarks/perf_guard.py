@@ -291,11 +291,11 @@ def check_serve_tracing() -> int:
 
     Same budget-vs-measured idiom as the disabled-telemetry gates in
     ``bench_obs_overhead``: the full tracing primitive sequence (context
-    mint, span tree, wire round-trip, exemplar, flight-recorder and sink
-    writes) is timed over thousands of calls and held under 5% of a real
-    served request; the tracing-off path — one branch and a sampled
-    counter bump — under 2%.  Both sides ride the same machine, so load
-    drift largely cancels.
+    mint, the spans built from the shard's timing record, exemplar,
+    flight-recorder and sink writes) is timed over thousands of calls
+    and held under 5% of a real served request; the tracing-off path —
+    one branch and a sampled counter bump — under 2%.  Both sides ride
+    the same machine, so load drift largely cancels.
     """
     from bench_obs_overhead import (  # noqa: E402
         MAX_DISABLED_OVERHEAD,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -42,10 +41,11 @@ class Span:
 
     Distributed-tracing identity is optional: ``trace_id`` / ``span_id``
     / ``parent_id`` stay empty for ordinary in-process spans (zero cost)
-    and are filled by the serve stack, where a span may be serialized in
-    one thread or process and re-attached in another.  ``started`` is an
-    epoch timestamp (0.0 = unrecorded) so stitched trees keep absolute
-    ordering across machines.
+    and are filled by the serve stack's front ends, which build every
+    request's spans themselves (a shard reports only its timings).
+    ``repro trace`` grafts a node's tree under the router's attempt span
+    by ``parent_id``.  ``started`` is an epoch timestamp (0.0 =
+    unrecorded) so trees joined across machines keep absolute ordering.
     """
 
     name: str
@@ -91,9 +91,8 @@ class Span:
         """Rebuild a span tree from :meth:`to_dict` output.
 
         The inverse of :meth:`to_dict`, tolerant of missing optional
-        fields — this is how a worker-side subtree shipped through a
-        queue (or pickled across a process boundary) is re-rooted into
-        the listener-side trace.
+        fields — this is how a ``/debug/traces`` document or a
+        flight-recorder NDJSON dump is read back into a tree.
         """
         span = cls(
             name=str(raw.get("name", "")),
@@ -199,38 +198,6 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> _SpanContext:
         """Open a wall-clock span (use as a context manager)."""
         return _SpanContext(self, Span(name=name, attrs=attrs))
-
-    @contextmanager
-    def capture(self, name: str, **attrs: Any) -> Iterator[Span]:
-        """Collect this thread's spans into a *detached* subtree.
-
-        Opens a wall-clock span like :meth:`span`, but on exit the
-        completed span is **not** attached to the tracer's roots (and no
-        histogram is observed) — it is handed back to the caller, who
-        owns where it goes.  This is the shard-worker primitive: spans
-        opened while a batch solves nest under the captured span, the
-        worker serializes it (:meth:`Span.to_dict`) into the response
-        payload, and the listener side re-roots it into the request's
-        trace — instead of the subtree dying as an orphan root in a
-        worker thread or being lost entirely across a process boundary.
-        """
-        span = Span(name=name, attrs=attrs, started=time.time())
-        self._push(span)
-        t0 = time.perf_counter()
-        try:
-            yield span
-        except BaseException as exc:
-            span.status = "error"
-            span.attrs["error"] = type(exc).__name__
-            raise
-        finally:
-            span.seconds = time.perf_counter() - t0
-            stack = self._stack()
-            if stack and stack[-1] is span:
-                stack.pop()
-            elif span in stack:  # tolerate out-of-order exits
-                stack.remove(span)
-            # Deliberately not attached: the caller owns the subtree.
 
     def record(
         self,

@@ -82,7 +82,8 @@ class FrontEndConfig:
 class FrontEnd:
     """The shared request pipeline (see module notes).
 
-    ``sink``, when given, receives every ok ``plan``'s end-to-end latency
+    ``sink``, when given, receives the end-to-end latency of every ok
+    ``plan`` with ``n >= 1``
     (:meth:`~repro.obs.sink.FleetTelemetrySink.observe_solve`).
     """
 
@@ -211,7 +212,9 @@ class FrontEnd:
                 root=root,
             )
         )
-        if self._sink is not None and status == "ok" and n is not None:
+        # n=0 is a valid plan but not an observable size: the sink's
+        # records, which also guard wire input, require a positive one.
+        if self._sink is not None and status == "ok" and n is not None and n >= 1:
             self._sink.observe_solve(fleet, n=n, seconds=seconds)
 
     # -- the pipeline ---------------------------------------------------

@@ -30,6 +30,14 @@ so a backlog never wastes solves on expired work.  During drain, new
 requests are refused with ``shutting_down`` while every in-flight batch
 completes.
 
+**Tracing.**  Request spans are built here and nowhere else.  A shard
+answers each batch with a small ``timing`` record, and delivery turns it
+into every traced request's ``serve.shard.batch`` span, its
+``serve.shard.solve`` child (when anything was solved) and the request's
+own ``serve.shard.item`` span(s).  The requests of one batch share the
+batch and solve span ids: each tree holds only its own items, and the
+shared id links it to its peers.
+
 All of it is observable: per-op request counters and latency histograms,
 batch-size histograms, shed counters and queue-depth gauges land in the
 global :mod:`repro.obs` registry and flow out of the HTTP ``/metrics``
@@ -52,7 +60,7 @@ from ..core.options import PartitionOptions
 from ..exceptions import ConfigurationError, ReproError
 from ..model.builder import DEFAULT_EPSILON, ModelBuildOptions
 from ..model.online import OnlineBandRefitter
-from ..obs.context import TraceContext
+from ..obs.context import TraceContext, new_span_id
 from ..obs.sink import FleetTelemetrySink, Observation
 from ..obs.spans import Span
 from ..planner import Fleet
@@ -187,13 +195,13 @@ class ServeConfig(FrontEndConfig):
 class _Pending:
     """One plan request waiting inside a batching window.
 
-    ``trace`` / ``span`` are the request's distributed-tracing identity
-    and its listener-side root span; both are ``None`` when serve-level
-    tracing is off.  A whole ``plan_many`` request shares one span
-    object across its pendings (the batch subtree attaches once).
+    ``span`` is the request's listener-side root span (it carries the
+    trace id), ``None`` when serve-level tracing is off.  A whole
+    ``plan_many`` request shares one span object across its pendings,
+    so its item spans land under one batch span.
     """
 
-    __slots__ = ("n", "deadline", "allocation", "future", "trace", "span")
+    __slots__ = ("n", "deadline", "allocation", "future", "span")
 
     def __init__(
         self,
@@ -201,15 +209,61 @@ class _Pending:
         deadline: float | None,
         allocation: bool,
         future,
-        trace: TraceContext | None = None,
         span: Span | None = None,
     ):
         self.n = n
         self.deadline = deadline
         self.allocation = allocation
         self.future = future
-        self.trace = trace
         self.span = span
+
+
+def _batch_span(
+    root: Span, timing: Mapping, batch_id: str, solve_id: str, items: int
+) -> Span:
+    """File a ``serve.shard.batch`` span (and its solve child) under ``root``.
+
+    Built from the shard's ``timing`` record.  Every request of one batch
+    gets the same ``batch_id`` and ``solve_id``, which is what links the
+    peers' trees; ``items`` counts the whole batch.
+    """
+    batch = Span(
+        name="serve.shard.batch",
+        seconds=timing["seconds"],
+        attrs={"shard": timing["shard"], "items": items},
+        trace_id=root.trace_id,
+        span_id=batch_id,
+        parent_id=root.span_id,
+        started=timing["started"],
+    )
+    if timing["sizes"]:
+        batch.children.append(
+            Span(
+                name="serve.shard.solve",
+                seconds=timing["solve_seconds"],
+                attrs={"sizes": timing["sizes"]},
+                trace_id=root.trace_id,
+                span_id=solve_id,
+                parent_id=batch_id,
+            )
+        )
+    root.children.append(batch)
+    return batch
+
+
+def _item_span(batch: Span, n: int, result: Mapping) -> None:
+    """File one request item's ``serve.shard.item`` verdict under ``batch``."""
+    item = Span(
+        name="serve.shard.item",
+        attrs={"n": n},
+        trace_id=batch.trace_id,
+        span_id=new_span_id(),
+        parent_id=batch.span_id,
+    )
+    if not result.get("ok", False):
+        item.status = "error"
+        item.attrs["code"] = result.get("code", "internal")
+    batch.children.append(item)
 
 
 class _BatchState:
@@ -539,22 +593,20 @@ class PlanningService(FrontEnd):
         *,
         timeout_ms: float | None = None,
         allocation: bool = True,
-        trace: TraceContext | None = None,
         span: Span | None = None,
         tenant: str = "",
         idempotency_key: str | None = None,
     ) -> dict:
         """One plan query through the micro-batcher (an item dict back).
 
-        ``trace`` / ``span`` carry the request's tracing identity and
-        listener-side root span through the batching window; the shard's
-        captured subtree is stitched under ``span`` on delivery.
+        ``span`` is the request's listener-side root span; delivery files
+        its batch, solve and item spans under it (:meth:`_deliver`).
         ``tenant`` selects the fair-queueing lane and quota bucket;
         ``idempotency_key`` dedups retries within the server's window.
         """
         (item,) = await self._admit(
             "plan", fingerprint, [n], timeout_ms=timeout_ms,
-            allocation=allocation, trace=trace, span=span, tenant=tenant,
+            allocation=allocation, span=span, tenant=tenant,
             idempotency_key=idempotency_key,
         )
         return item
@@ -566,7 +618,6 @@ class PlanningService(FrontEnd):
         *,
         timeout_ms: float | None = None,
         allocation: bool = True,
-        trace: TraceContext | None = None,
         span: Span | None = None,
         tenant: str = "",
         idempotency_key: str | None = None,
@@ -574,14 +625,14 @@ class PlanningService(FrontEnd):
         """A caller-assembled batch: dispatched directly, no window."""
         return await self._admit(
             "plan_many", fingerprint, ns, timeout_ms=timeout_ms,
-            allocation=allocation, trace=trace, span=span, tenant=tenant,
+            allocation=allocation, span=span, tenant=tenant,
             idempotency_key=idempotency_key,
         )
 
     async def _admit(
         self, op: str, fingerprint: str, sizes: Sequence[int], *,
-        timeout_ms: float | None, allocation: bool, trace: TraceContext | None,
-        span: Span | None, tenant: str, idempotency_key: str | None,
+        timeout_ms: float | None, allocation: bool, span: Span | None,
+        tenant: str, idempotency_key: str | None,
     ) -> list[dict]:
         """The admission body of :meth:`plan` and :meth:`plan_many`.
 
@@ -613,8 +664,7 @@ class PlanningService(FrontEnd):
             self._idem.reserve(idem_key, self._loop)
         deadline = self._deadline_for(timeout_ms)
         pendings = [
-            _Pending(int(n), deadline, allocation, self._loop.create_future(),
-                     trace, span)
+            _Pending(int(n), deadline, allocation, self._loop.create_future(), span)
             for n in sizes
         ]
         key = (fingerprint, tenant)
@@ -656,21 +706,14 @@ class PlanningService(FrontEnd):
         if not pendings:
             return
         fingerprint, tenant = key
-        items = []
-        for p in pendings:
-            item = {"n": p.n, "deadline": p.deadline, "allocation": p.allocation}
-            if p.trace is not None:
-                item["span_id"] = p.trace.span_id
-            items.append(item)
-        # A micro-batch may coalesce requests from different traces; the
-        # first traced request's context rides on the wire and the batch
-        # subtree is re-tagged per request at fan-out (_deliver).
-        batch_trace = next((p.trace for p in pendings if p.trace is not None), None)
+        items = [
+            {"n": p.n, "deadline": p.deadline, "allocation": p.allocation}
+            for p in pendings
+        ]
         try:
             future = self.pool.submit_batch(
                 fingerprint,
                 items,
-                trace=None if batch_trace is None else batch_trace.to_dict(),
                 tenant=tenant,
                 weight=self._quotas.weight_for(tenant),
             )
@@ -699,6 +742,13 @@ class PlanningService(FrontEnd):
         task.add_done_callback(self._inflight.discard)
 
     async def _deliver(self, future, pendings: list[_Pending]) -> None:
+        """Answer a batch's requests; build each traced request's spans.
+
+        The spans come from the payload's ``timing`` record: one batch
+        span per request root (a ``plan_many``'s pendings share theirs),
+        the solve child, and one item span per pending.  Every request
+        of the batch reuses one batch span id and one solve span id.
+        """
         payload = await asyncio.wrap_future(future)
         results = payload.get("results") if payload.get("ok") else None
         if results is None or len(results) != len(pendings):
@@ -707,21 +757,15 @@ class PlanningService(FrontEnd):
                 payload.get("message", "malformed worker payload"),
             )
             results = [dict(err) for _ in pendings]
-        spans = payload.get("spans")
-        attached: set[int] = set()
+        timing = payload.get("timing")
+        ids = root = batch = None
         for p, result in zip(pendings, results):
-            if p.span is not None and spans is not None and id(p.span) not in attached:
-                # Fan the shared batch subtree back out: every traced
-                # request gets its own copy, re-tagged with its trace id
-                # and re-rooted under its listener-side span (a
-                # plan_many's pendings share one span — attach once).
-                attached.add(id(p.span))
-                subtree = Span.from_dict(spans)
-                trace_id = p.trace.trace_id if p.trace is not None else p.span.trace_id
-                for node in subtree.walk():
-                    node.trace_id = trace_id
-                subtree.parent_id = p.span.span_id
-                p.span.children.append(subtree)
+            if p.span is not None and timing is not None:
+                if p.span is not root:
+                    ids = ids or (new_span_id(), new_span_id())
+                    root = p.span
+                    batch = _batch_span(root, timing, *ids, len(pendings))
+                _item_span(batch, p.n, result)
             if not p.future.done():
                 p.future.set_result(result)
 
@@ -933,7 +977,6 @@ class PlanningService(FrontEnd):
             kwargs = dict(
                 timeout_ms=request.timeout_ms,
                 allocation=request.allocation,
-                trace=ctx if root is not None else None,
                 span=root,
                 tenant=request.tenant,
                 idempotency_key=request.idempotency_key,

@@ -32,6 +32,13 @@ job, so requests that sat in a backlog past their deadline are answered
 with ``drain=True`` seals the inboxes, lets the workers finish every
 queued job, and joins them — in-flight work completes, nothing is lost.
 
+No span crosses the shard boundary.  A batch message carries only its
+items, and every batch payload — in both modes, traced or not — carries
+a small ``timing`` record next to the verdicts: the shard, the batch's
+wall-clock start, its seconds, the shared solve's seconds and the number
+of sizes solved.  The front end builds each traced request's spans from
+that record (:class:`~repro.serve.service.PlanningService`).
+
 Two durability features ride on the same structure:
 
 * a pool-wide :class:`~repro.planner.tiered.WarmPlanStore` backs every
@@ -62,8 +69,6 @@ from typing import Any, Mapping, Sequence
 
 from .. import obs
 from ..exceptions import ConfigurationError
-from ..obs.context import new_span_id
-from ..obs.spans import Span
 from ..planner.tiered import TieredPlanCache, WarmPlanStore, WarmStoreManager
 from .hashring import HashRing
 from .protocol import error_code_for, speed_functions_from_fleet_spec
@@ -190,30 +195,9 @@ def worker_loop(
                     )
                 )
             elif kind == _KIND_BATCH:
-                fingerprint, items, trace = msg[2], msg[3], msg[4]
-                if trace is None:
-                    outbox.put(
-                        (job_id, _solve_batch(planners, fingerprint, items))
-                    )
-                else:
-                    # Capture a detached span subtree for this batch: the
-                    # worker runs in another thread (or process), so spans
-                    # attached to the local tracer would never reach the
-                    # listener — instead the subtree rides home inside the
-                    # response payload and is re-rooted per request.
-                    tracer = obs.get_tracer()
-                    with tracer.capture(
-                        "serve.shard.batch", shard=shard_id, items=len(items)
-                    ) as batch_span:
-                        batch_span.trace_id = str(trace.get("trace_id") or "")
-                        batch_span.parent_id = str(trace.get("span_id") or "")
-                        batch_span.span_id = new_span_id()
-                        payload = _solve_batch(
-                            planners, fingerprint, items,
-                            batch_span=batch_span,
-                        )
-                    payload["spans"] = batch_span.to_dict()
-                    outbox.put((job_id, payload))
+                outbox.put(
+                    (job_id, _solve_batch(shard_id, planners, msg[2], msg[3]))
+                )
             elif kind == _KIND_REFIT:
                 # An online refit retires a fleet's old model: invalidate
                 # exactly the stale fingerprint's plan-cache entries (via
@@ -279,51 +263,46 @@ def worker_loop(
 
 
 def _solve_batch(
-    planners,
-    fingerprint: str,
-    items: Sequence[Mapping],
-    *,
-    batch_span: Span | None = None,
+    shard_id: int, planners, fingerprint: str, items: Sequence[Mapping]
 ) -> dict:
     """Answer one coalesced batch; every item gets an independent verdict.
 
-    With ``batch_span`` the worker also files one child span per item
-    (verdict, size, the request's own span id) plus a solve span timing
-    the shared sweep — the structure the listener fans back out to each
-    request's trace.
+    The payload's ``timing`` record — the shard, the batch's wall-clock
+    start, its seconds, the shared solve's seconds and the sizes that
+    solve answered — is all the front end needs to build each traced
+    request's batch spans, so no span crosses the shard boundary.
     """
+    started, t0 = time.time(), time.perf_counter()
+    solve_s = 0.0
+    solvable: list[int] = []
     planner = planners.get(fingerprint)
     if planner is None:
         err = _item_error("unknown_fleet", f"fleet {fingerprint!r} is not registered")
-        results = [dict(err) for _ in items]
-        if batch_span is not None:
-            _add_item_spans(batch_span, items, results)
-        return {"ok": True, "results": results}
-    # The most an integer plan can hold: sum(floor(max_i)), which sits
-    # below the fleet's ``capacity`` (sum(max_i)) whenever a bound is
-    # fractional.  Sizes past it must fail alone, not sink the batch.
-    capacity = planner.fleet.pack.max_total
-    now = time.time()
-    results: list[dict | None] = [None] * len(items)
-    solvable: list[int] = []
-    for i, item in enumerate(items):
-        deadline = item.get("deadline")
-        n = item["n"]
-        if deadline is not None and now > deadline:
-            results[i] = _item_error(
-                "deadline_exceeded", f"request for n={n} expired in the shard queue"
-            )
-        elif n < 0 or n > capacity:
-            results[i] = _item_error(
-                "infeasible",
-                f"n={n} is outside the fleet's feasible range [0, {capacity:.0f}]",
-            )
-        else:
-            solvable.append(i)
+        results: list[dict | None] = [dict(err) for _ in items]
+    else:
+        # The most an integer plan can hold: sum(floor(max_i)), which sits
+        # below the fleet's ``capacity`` (sum(max_i)) whenever a bound is
+        # fractional.  Sizes past it must fail alone, not sink the batch.
+        capacity = planner.fleet.pack.max_total
+        results = [None] * len(items)
+        for i, item in enumerate(items):
+            deadline = item.get("deadline")
+            n = item["n"]
+            if deadline is not None and started > deadline:
+                results[i] = _item_error(
+                    "deadline_exceeded", f"request for n={n} expired in the shard queue"
+                )
+            elif n < 0 or n > capacity:
+                results[i] = _item_error(
+                    "infeasible",
+                    f"n={n} is outside the fleet's feasible range [0, {capacity:.0f}]",
+                )
+            else:
+                solvable.append(i)
     if solvable:
         # One lockstep sweep answers the whole batch; items needing
         # allocations keep them, the rest stay summary-only on the wire.
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
         try:
             plans = planner.plan_many([items[i]["n"] for i in solvable])
         except Exception as exc:  # noqa: BLE001 - pre-validation should prevent this
@@ -335,44 +314,15 @@ def _solve_batch(
                 results[i] = result_to_dict(
                     plan, allocation=bool(items[i].get("allocation", True))
                 )
-        if batch_span is not None:
-            batch_span.children.append(
-                Span(
-                    name="serve.shard.solve",
-                    seconds=time.perf_counter() - t0,
-                    attrs={"sizes": len(solvable)},
-                    span_id=new_span_id(),
-                    parent_id=batch_span.span_id,
-                    trace_id=batch_span.trace_id,
-                )
-            )
-    if batch_span is not None:
-        _add_item_spans(batch_span, items, results)
-    return {"ok": True, "results": results}
-
-
-def _add_item_spans(batch_span: Span, items: Sequence[Mapping], results) -> None:
-    """One verdict span per batch item, tagged with the request's span id.
-
-    The listener uses ``request_span_id`` to fan the shared batch subtree
-    back out: each request keeps the whole batch context (queueing peers
-    explain latency) but can identify its own item at a glance.
-    """
-    for item, result in zip(items, results):
-        child = Span(
-            name="serve.shard.item",
-            attrs={"n": item.get("n")},
-            span_id=new_span_id(),
-            parent_id=batch_span.span_id,
-            trace_id=batch_span.trace_id,
-        )
-        rid = item.get("span_id")
-        if rid:
-            child.attrs["request_span_id"] = rid
-        if result and not result.get("ok", False):
-            child.status = "error"
-            child.attrs["code"] = result.get("code", "internal")
-        batch_span.children.append(child)
+        solve_s = time.perf_counter() - t1
+    timing = {
+        "shard": shard_id,
+        "started": started,
+        "seconds": time.perf_counter() - t0,
+        "solve_seconds": solve_s,
+        "sizes": len(solvable),
+    }
+    return {"ok": True, "results": results, "timing": timing}
 
 
 class _ShardInbox:
@@ -605,7 +555,6 @@ class ShardPool:
         fingerprint: str,
         items: Sequence[Mapping],
         *,
-        trace: Mapping | None = None,
         tenant: str = "",
         weight: float = 1.0,
     ) -> Future | None:
@@ -619,19 +568,14 @@ class ShardPool:
 
         ``tenant``/``weight`` place the job in the weighted fair queue
         (cost = batch size, so fairness is measured in plans, not jobs).
-        ``trace`` is an optional serialized trace context (the wire dict
-        of :class:`~repro.obs.context.TraceContext`); when set, the
-        worker captures its span subtree and ships it back inside the
-        batch payload under ``"spans"``.
+        The payload carries one verdict per item under ``"results"`` and
+        the batch's ``"timing"`` record (see :func:`_solve_batch`).
         """
         if self._closed:
             raise ConfigurationError("the shard pool is closed")
         shard = self.shard_for(fingerprint)
         job_id, fut = self._new_job()
-        msg = (
-            _KIND_BATCH, job_id, fingerprint, [dict(it) for it in items],
-            None if trace is None else dict(trace),
-        )
+        msg = (_KIND_BATCH, job_id, fingerprint, [dict(it) for it in items])
         try:
             self._inboxes[shard].put_nowait(
                 msg,

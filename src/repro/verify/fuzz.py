@@ -11,8 +11,10 @@ Two independent fuzzers share one report format:
     and never crashes, hangs, or wedges a connection.  After every
     mutated frame a health probe with a unique id must come back on the
     same connection (reconnecting only where the protocol documents a
-    deliberate close, e.g. an over-limit frame), and every line the
-    server emits must parse as a JSON object.
+    deliberate close, e.g. an over-limit frame), a TCP frame that
+    decodes to an object with a string or integer ``id`` must be
+    answered under that id, and every line the server emits must parse
+    as a JSON object.
 
 :func:`fuzz_adapt`
     Drives :func:`~repro.adapt.mm.simulate_striped_matmul_adaptive`
@@ -45,7 +47,13 @@ from ..adapt.replanner import AdaptivePolicy
 from ..core import partition
 from ..core.speed_function import PiecewiseLinearSpeedFunction
 from ..io import speed_function_to_dict
-from ..serve.protocol import ERROR_CODES, MAX_FRAME_BYTES, PROTOCOL_VERSION
+from ..serve.protocol import (
+    ERROR_CODES,
+    MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+    ProtocolError,
+    decode_frame,
+)
 from ..serve.server import start_in_thread
 from ..serve.service import ServeConfig
 
@@ -144,9 +152,10 @@ class _Conn:
 
 def _valid_frames(fingerprint: str, rng: np.random.Generator) -> list[dict]:
     """Template requests the mutators start from."""
+    n = (0, 1, int(rng.integers(0, 200_000)))[int(rng.integers(0, 3))]
     return [
         {"v": PROTOCOL_VERSION, "id": 1, "op": "plan", "fleet": fingerprint,
-         "n": int(rng.integers(0, 200_000))},
+         "n": n},
         {"v": PROTOCOL_VERSION, "id": 2, "op": "plan_many", "fleet": fingerprint,
          "ns": [int(x) for x in rng.integers(0, 50_000, size=3)]},
         {"v": PROTOCOL_VERSION, "id": 3, "op": "health"},
@@ -221,20 +230,47 @@ def _check_lines(lines: list[bytes], index: int, seed: int,
                     f"error code {code!r} not in ERROR_CODES", "protocol"))
 
 
+def _frame_id(frame: bytes) -> str | int | None:
+    """The id a TCP frame must be answered under (``None``: no answer owed).
+
+    The frame is decoded exactly as the server decodes it; only string
+    and integer ids count (a JSON ``true`` is not an integer).
+    """
+    try:
+        req_id = decode_frame(frame).get("id")
+    except ProtocolError:
+        return None
+    if isinstance(req_id, str) or (
+        isinstance(req_id, int) and not isinstance(req_id, bool)
+    ):
+        return req_id
+    return None
+
+
 def _probe(conn: _Conn, index: int, seed: int,
-           failures: list[FuzzFailure]) -> bool:
+           failures: list[FuzzFailure], frame_id: str | int | None) -> bool:
     """Send a uniquely-tagged health probe; collect lines until it answers.
 
-    Returns ``False`` when the connection needs to be re-opened (EOF).
-    A timeout waiting for the probe is the definition of a hang.
+    Unless ``frame_id`` is ``None``, the mutated frame's own answer is
+    awaited too, on the same timeout.  Returns ``False`` when the
+    connection needs to be re-opened (EOF or timeout).  A timeout waiting
+    for the probe is the definition of a hang; one waiting only for the
+    frame is ``unanswered``.
     """
     probe_id = f"probe-{index}"
     conn.send(json.dumps(
         {"v": PROTOCOL_VERSION, "id": probe_id, "op": "health"}
     ).encode() + b"\n")
+    waiting: list = [probe_id] if frame_id is None else [probe_id, frame_id]
     lines: list[bytes] = []
+
+    def unanswered(why: str) -> FuzzFailure:
+        return FuzzFailure(
+            "unanswered", index, seed,
+            f"frame id {frame_id!r} got no response {why}", "protocol")
+
     try:
-        while True:
+        while waiting:
             line = conn.readline()
             if not line:
                 # The server closed the connection.  Legal only right
@@ -248,19 +284,29 @@ def _probe(conn: _Conn, index: int, seed: int,
                         "connection-wedge", index, seed,
                         "server closed the connection without any response",
                         "protocol"))
+                elif frame_id in waiting:
+                    failures.append(
+                        unanswered("before the server closed the connection")
+                    )
                 return False
             lines.append(line)
             try:
                 doc = json.loads(line)
             except (json.JSONDecodeError, RecursionError):
                 doc = None
-            if isinstance(doc, dict) and doc.get("id") == probe_id:
-                break
+            if isinstance(doc, dict):
+                got = doc.get("id")
+                # Types must match too: a stale ``true`` is not id 1.
+                waiting = [w for w in waiting
+                           if not (type(w) is type(got) and w == got)]
     except socket.timeout:
-        failures.append(FuzzFailure(
-            "hang", index, seed,
-            "health probe got no response within "
-            f"{_PROBE_TIMEOUT:g}s of a mutated frame", "protocol"))
+        if probe_id in waiting:
+            failures.append(FuzzFailure(
+                "hang", index, seed,
+                "health probe got no response within "
+                f"{_PROBE_TIMEOUT:g}s of a mutated frame", "protocol"))
+        else:
+            failures.append(unanswered(f"within {_PROBE_TIMEOUT:g}s"))
         return False
     _check_lines(lines, index, seed, failures)
     return True
@@ -385,9 +431,10 @@ def fuzz_protocol(
                     for f in failures[before:]:
                         log(f.line())
                 continue
-            conn.send(_mutate_tcp(frame, rng))
+            mutated = _mutate_tcp(frame, rng)
+            conn.send(mutated)
             before = len(failures)
-            if not _probe(conn, k, seed, failures):
+            if not _probe(conn, k, seed, failures, _frame_id(mutated)):
                 conn.close()
                 conn = _Conn(handle.host, handle.port)
             if log and len(failures) > before:

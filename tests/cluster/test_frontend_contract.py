@@ -111,6 +111,16 @@ def test_client_trace_is_echoed_and_filed(front_end):
     assert trace.root.parent_id == CLIENT_TRACE["span_id"]
 
 
+def test_a_plan_for_zero_answers_an_all_zero_allocation(front_end):
+    resp = front_end.plan(0)
+    assert resp["ok"], resp
+    result = resp["result"]
+    assert result["n"] == 0
+    assert result["allocation"] == [0] * result["p"]
+    trace = front_end.handle.service.recorder.get(resp["trace_id"])
+    assert trace is not None and trace.ok
+
+
 def test_plan_many_trace_files_the_worst_item_code(front_end):
     resp = front_end.send({"v": 1, "id": 1, "op": "plan_many",
                            "fleet": front_end.fingerprint, "ns": [100, 10**15]})

@@ -202,6 +202,31 @@ class TestDrain:
         assert pool.closed
 
 
+class TestTiming:
+    """A batch payload carries verdicts and a timing record, never spans."""
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_every_batch_reports_its_timing(self, trio_sfs, trio_spec, mode):
+        over = int(Fleet(trio_sfs).capacity) + 10
+        pool = ShardPool(1, mode=mode, queue_depth=8)
+        try:
+            fp = _register(pool, trio_spec)
+            payload = pool.submit_batch(
+                fp, [{"n": 1000}, {"n": over}, {"n": 2000}]
+            ).result(timeout=60)
+            unknown = pool.submit_batch("not-registered", [{"n": 1}]).result(60)
+        finally:
+            pool.close(drain=True)
+        assert set(payload) == {"ok", "results", "timing"}
+        timing = payload["timing"]
+        assert set(timing) == {"shard", "started", "seconds", "solve_seconds", "sizes"}
+        assert timing["shard"] == 0 and timing["sizes"] == 2
+        assert 0.0 < timing["solve_seconds"] <= timing["seconds"]
+        assert abs(timing["started"] - time.time()) < 60
+        assert unknown["timing"]["sizes"] == 0
+        assert unknown["timing"]["solve_seconds"] == 0.0
+
+
 class TestProcessMode:
     def test_process_workers_solve_and_drain(self, trio_sfs, trio_spec):
         fleet = Fleet(trio_sfs, name="trio")

@@ -1,12 +1,14 @@
 """End-to-end request tracing: one connected tree per served request.
 
-The regression this suite pins: spans recorded inside a ShardPool worker
-(thread OR process mode) used to vanish — the worker's thread-local span
-stack died with the batch.  Now the worker ships its span subtree back
-inside the batch payload and the service re-roots it under the request's
-root span, so every served request yields a single connected trace,
-retrievable by trace id from the flight recorder and ``/debug/traces``,
-with the latency histogram carrying the trace id as an exemplar.
+A shard worker (thread OR process mode) builds no spans: its batch
+payload carries a small timing record, and the service builds each
+traced request's batch, solve and item spans from it under the
+request's root span.  Every served request yields a single connected
+trace, retrievable by trace id from the flight recorder and
+``/debug/traces``, with the latency histogram carrying the trace id as
+an exemplar.  A request's tree holds its own item spans only, so its
+size does not depend on how many peers shared its batch; the peers share
+the batch and solve span ids instead.
 """
 
 from __future__ import annotations
@@ -41,8 +43,18 @@ def _tree(trace):
     return trace.root, [s.name for s in nodes]
 
 
+def _batch(trace):
+    """The ``serve.shard.batch`` span under a trace's root."""
+    return next(s for s in trace.root.children if s.name == "serve.shard.batch")
+
+
+def _solve_id(batch):
+    (solve,) = [s for s in batch.children if s.name == "serve.shard.solve"]
+    return solve.span_id
+
+
 def _assert_connected(trace):
-    """The cross-boundary invariant: one tree, one trace id, linked ids."""
+    """One tree, one trace id, linked ids."""
     root, names = _tree(trace)
     assert root.name in ("serve.plan", "serve.plan_many")
     assert "serve.shard.batch" in names
@@ -50,7 +62,7 @@ def _assert_connected(trace):
     assert "serve.shard.item" in names
     for node in root.walk():
         assert node.trace_id == trace.trace_id, f"{node.name} lost the trace id"
-    batch = next(s for s in root.children if s.name == "serve.shard.batch")
+    batch = _batch(trace)
     assert batch.parent_id == root.span_id
     for child in batch.children:
         assert child.parent_id == batch.span_id
@@ -80,7 +92,7 @@ class TestConnectedTrace:
 
         resp, trace = run_service(scenario, config)
         assert resp["ok"]
-        _assert_connected(trace)  # the subtree survived pickling + the pipe
+        _assert_connected(trace)  # built from the timing record off the pipe
 
     def test_latency_histogram_carries_the_trace_id_as_exemplar(self, trio_sfs):
         async def scenario(service):
@@ -160,18 +172,15 @@ class TestBatchFanout:
         assert stats["batches"] == 1                 # one window served all three
         ids = {r["trace_id"] for r in resps}
         assert len(ids) == len(sizes)                # fan-out: distinct traces
-        for trace in traces:
-            _assert_connected(trace)                 # fan-in: each got the subtree
-            batch = next(
-                s for s in trace.root.children if s.name == "serve.shard.batch"
-            )
-            assert batch.attrs["items"] == len(sizes)
-            item_owners = {
-                s.attrs.get("request_span_id")
-                for s in batch.children if s.name == "serve.shard.item"
-            }
-            # Every request's span id is visible in the shared batch.
-            assert {t.root.span_id for t in traces} == item_owners
+        for trace, n in zip(traces, sizes):
+            _assert_connected(trace)
+            batch = _batch(trace)
+            assert batch.attrs["items"] == len(sizes)  # counts the whole batch
+            items = [s for s in batch.children if s.name == "serve.shard.item"]
+            assert [s.attrs["n"] for s in items] == [n]  # only its own item
+            assert "request_span_id" not in items[0].attrs
+        # The shared batch span id is the link between the peers.
+        assert len({_batch(t).span_id for t in traces}) == 1
 
     def test_plan_many_is_one_trace_with_one_subtree(self, trio_sfs):
         async def scenario(service):
@@ -203,6 +212,54 @@ class TestBatchFanout:
         assert resp["ok"]  # envelope ok; per-item verdicts inside
         assert trace.status == "infeasible"
         assert not trace.ok
+
+
+class TestSpansPerRequest:
+    """A request's span count does not depend on its batch's size."""
+
+    @staticmethod
+    def _one_batch(trio_sfs, frames_for):
+        """Gather the frames on one service; they must share one batch."""
+        async def scenario(service):
+            info = await service.register_fleet(trio_sfs, name="trio")
+            resps = await asyncio.gather(
+                *(service.handle(f) for f in frames_for(info["fingerprint"]))
+            )
+            stats = await service.stats()
+            return resps, stats, [service.recorder.get(r["trace_id"]) for r in resps]
+
+        resps, stats, traces = run_service(scenario)
+        assert all(r["ok"] for r in resps)
+        assert stats["batches"] == 1
+        for trace in traces:
+            _assert_connected(trace)
+        return traces
+
+    @pytest.mark.parametrize("size", [1, 4, 16])
+    def test_a_plan_has_four_spans_at_any_batch_size(self, trio_sfs, size):
+        traces = self._one_batch(
+            trio_sfs,
+            lambda fp: [plan_frame(fp, 1000 * (k + 1), req_id=k) for k in range(size)],
+        )
+        for trace in traces:
+            names = sorted(s.name for s in trace.root.walk())
+            assert names == ["serve.plan", "serve.shard.batch",
+                             "serve.shard.item", "serve.shard.solve"]
+            assert _batch(trace).attrs["items"] == size
+        # Every request of the batch reuses one batch id and one solve id.
+        assert len({_batch(t).span_id for t in traces}) == 1
+        assert len({_solve_id(_batch(t)) for t in traces}) == 1
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_a_plan_many_of_k_has_k_plus_three_spans(self, trio_sfs, k):
+        (trace,) = self._one_batch(
+            trio_sfs,
+            lambda fp: [plan_many_frame(fp, [1000 * (j + 1) for j in range(k)])],
+        )
+        assert len(list(trace.root.walk())) == k + 3
+        items = [s for s in _batch(trace).children if s.name == "serve.shard.item"]
+        assert [s.attrs["n"] for s in items] == [1000 * (j + 1) for j in range(k)]
+        assert len({s.span_id for s in items}) == k
 
 
 class TestFailureRetention:

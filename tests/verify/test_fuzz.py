@@ -7,7 +7,8 @@ import pytest
 
 from repro import obs
 from repro.verify import fuzz_adapt, fuzz_protocol
-from repro.verify.fuzz import FuzzFailure, _mutate_tcp
+from repro.verify import fuzz as fuzz_module
+from repro.verify.fuzz import FuzzFailure, _frame_id, _mutate_tcp
 
 
 @pytest.fixture(autouse=True)
@@ -36,6 +37,31 @@ class TestProtocolFuzz:
             a = _mutate_tcp(frame, np.random.default_rng([3, 0xF00D, k]))
             b = _mutate_tcp(frame, np.random.default_rng([3, 0xF00D, k]))
             assert a == b
+
+    def test_only_string_and_integer_ids_are_owed_an_answer(self):
+        assert _frame_id(b'{"id": 7, "op": "plan"}\n') == 7
+        assert _frame_id(b'{"id": "k", "op": "warp"}\n') == "k"
+        for frame in (b'{"id": true}\n', b'{"id": 1.5}\n', b'{"id": null}\n',
+                      b'{"id": [1]}\n', b'{"op": "plan"}\n', b"[1]\n",
+                      b'{"id": 1\n'):
+            assert _frame_id(frame) is None
+
+    def test_a_dropped_answer_is_reported_unanswered(self, monkeypatch):
+        # The health probe still answers, so only the frame's own id shows
+        # that its answer was lost.
+        from repro.serve.service import PlanningService
+
+        handle = PlanningService.handle
+
+        async def drop_plans(service, raw):
+            if isinstance(raw, dict) and raw.get("op") == "plan":
+                raise RuntimeError("answer dropped")
+            return await handle(service, raw)
+
+        monkeypatch.setattr(PlanningService, "handle", drop_plans)
+        monkeypatch.setattr(fuzz_module, "_PROBE_TIMEOUT", 2.0)
+        report = fuzz_protocol(frames=8, seed=4, only_frame=1)  # a plan frame
+        assert [(f.kind, f.index) for f in report.failures] == [("unanswered", 1)]
 
     def test_counter_increments(self):
         fuzz_protocol(frames=8, seed=2)
