@@ -168,7 +168,7 @@ def test_disabled_overhead_planner_plan_under_2pct(fleet_1080, benchmark):
 
 def _measure_served_request(fleet, *, tracing: bool) -> float:
     """Best-of mean per-request latency through a real server."""
-    config = ServeConfig(shards=2, batch_window=0.0005, tracing=tracing)
+    config = ServeConfig(shards=2, tracing=tracing)
     best = float("inf")
     with start_in_thread(config) as handle:
         with ServeClient(handle.host, handle.port) as client:

@@ -283,8 +283,7 @@ def measure_multitenant(*, p: int = P) -> dict:
     # -- fairness: small batches so one tenant cannot hog a whole shard
     # turn; the weighted fair queue interleaves lanes between batches.
     fair = ServeConfig(
-        shards=2, batch_window=0.002, max_batch=8, queue_depth=256,
-        tenancy=tenancy,
+        shards=2, max_batch=8, queue_depth=256, tenancy=tenancy,
     )
     solo_p99 = mixed_p99 = float("inf")
     heavy_rate = 0.0
@@ -363,7 +362,7 @@ def measure_multitenant(*, p: int = P) -> dict:
     probe_n = capacity // 2
     served_s = float("inf")
     overhead_errors = 0
-    with start_in_thread(ServeConfig(shards=2, batch_window=0.0005)) as handle:
+    with start_in_thread(ServeConfig(shards=2)) as handle:
         with ServeClient(handle.host, handle.port) as client:
             fp = client.register_fleet(sfs, name=fleet.name)["fingerprint"]
             client.plan(fp, probe_n)  # warm the shard
@@ -403,9 +402,7 @@ def test_serve_throughput_vs_naive_loop(mm_models, benchmark):
         naive_rate = len(sizes) / naive_seconds
 
         # -- the serving path: same workload, concurrency 32, one server
-        config = ServeConfig(
-            shards=2, batch_window=0.002, max_batch=64, queue_depth=128
-        )
+        config = ServeConfig(shards=2, max_batch=64, queue_depth=128)
         with start_in_thread(config) as handle:
             with ServeClient(handle.host, handle.port) as client:
                 info = client.register_fleet(sfs, name=fleet.name)

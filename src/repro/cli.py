@@ -705,7 +705,6 @@ def _serve_config(args: argparse.Namespace):
     return ServeConfig(
         shards=args.shards,
         worker_mode=args.workers,
-        batch_window=args.batch_window_ms / 1000.0,
         max_batch=args.max_batch,
         queue_depth=args.queue_depth,
         host=args.host,
@@ -1126,12 +1125,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard worker mode",
     )
     serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="micro-batching window in milliseconds",
-    )
-    serve.add_argument(
         "--max-batch", type=int, default=64,
-        help="flush a micro-batch early once it reaches this many requests",
+        help="the most requests a busy lane holds before it flushes anyway",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=128,

@@ -15,11 +15,11 @@ refused, reset, per-attempt timeout) raise :class:`NodeUnavailable`;
 the router records them on the breaker.
 
 Why a waiting room at all, instead of shedding straight at the
-concurrency bound?  Micro-bursts.  The node's own admission queue smooths
-over its batching window only if requests *reach* it; a short queue in
-the router absorbs a burst a few milliseconds long without either
-shedding or unbounded buildup — the queue-based load-leveling pattern
-with a hard cap.
+concurrency bound?  Micro-bursts.  The node batches a burst into few
+shard jobs only if its requests *reach* it; a short queue in the router
+absorbs a burst a few milliseconds long without either shedding or
+unbounded buildup — the queue-based load-leveling pattern with a hard
+cap.
 """
 
 from __future__ import annotations

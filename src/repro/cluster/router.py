@@ -59,6 +59,7 @@ from ..serve.protocol import (
     RegisterFleetRequest,
     StatsRequest,
     plan_fields,
+    registration_info,
     speed_functions_from_fleet_spec,
 )
 from ..serve.server import ServerHandle, run_in_thread
@@ -532,11 +533,7 @@ class RouterService(FrontEnd):
             extra={"fingerprint": fleet.fingerprint, "nodes": registered},
         )
         return {
-            "fingerprint": fleet.fingerprint,
-            "name": fleet.name,
-            "p": fleet.p,
-            "capacity": fleet.capacity,
-            "algorithm": spec.get("algorithm", "bisection"),
+            **registration_info(fleet, spec),
             "nodes": replicas,
             "registered": registered,
         }

@@ -4,10 +4,10 @@ A :class:`TraceContext` names one position in one distributed trace:
 ``trace_id`` identifies the whole request tree, ``span_id`` the current
 node, ``parent_id`` the node it hangs under.  Contexts are immutable
 values with a stable wire form (:meth:`TraceContext.to_dict` /
-:meth:`TraceContext.from_dict`), so they travel unchanged through JSON
-protocol frames, ``queue.Queue`` handoffs and pickled multiprocessing
-messages — which is what lets a span recorded inside a ShardPool worker
-process be stitched back into the listener-side trace.
+:meth:`TraceContext.from_dict`) that rides a protocol frame's ``trace``
+field, so a client's request, or a router's forwarded attempt, is filed
+under the caller's trace.  Shard workers never see one: the front end
+builds shard spans from each batch's timing record.
 
 IDs follow the W3C trace-context shape (128-bit trace ids, 64-bit span
 ids, lowercase hex) so client-supplied ids from other tracing systems

@@ -84,6 +84,7 @@ __all__ = [
     "error_code_for",
     "fleet_spec_from_speed_functions",
     "speed_functions_from_fleet_spec",
+    "registration_info",
 ]
 
 #: Current wire protocol version.  Responses always carry the server's
@@ -612,3 +613,18 @@ def fleet_spec_from_speed_functions(
 def speed_functions_from_fleet_spec(spec: Mapping) -> list:
     """Rebuild the speed-function objects named by a fleet spec."""
     return [speed_function_from_dict(rec) for rec in spec["speed_functions"]]
+
+
+def registration_info(fleet, spec: Mapping) -> dict:
+    """The fields every ``register_fleet`` answer carries, node or router.
+
+    ``capacity`` is ``None`` when a machine has no memory bound: RFC 8259
+    JSON has no infinity, so a strict client could not parse one.
+    """
+    return {
+        "fingerprint": fleet.fingerprint,
+        "name": fleet.name,
+        "p": fleet.p,
+        "capacity": fleet.capacity if math.isfinite(fleet.capacity) else None,
+        "algorithm": spec.get("algorithm", "bisection"),
+    }

@@ -104,7 +104,7 @@ def result_to_dict(result, *, allocation: bool = True) -> dict:
         "slope": None if result.slope is None else float(result.slope),
     }
     if allocation:
-        out["allocation"] = [int(x) for x in result.allocation]
+        out["allocation"] = result.allocation.tolist()
     return out
 
 
@@ -185,13 +185,7 @@ def worker_loop(
                 outbox.put(
                     (
                         job_id,
-                        {
-                            "ok": True,
-                            "fingerprint": fleet.fingerprint,
-                            "name": fleet.name,
-                            "p": fleet.p,
-                            "capacity": fleet.capacity,
-                        },
+                        {"ok": True, "fingerprint": fleet.fingerprint},
                     )
                 )
             elif kind == _KIND_BATCH:
@@ -230,8 +224,6 @@ def worker_loop(
                             "ok": True,
                             "fingerprint": fleet.fingerprint,
                             "invalidated": invalidated,
-                            "p": fleet.p,
-                            "capacity": fleet.capacity,
                         },
                     )
                 )

@@ -60,8 +60,7 @@ def main(argv: list[str] | None = None) -> int:
 
     bound = {} if args.warm_tier_size is None else {"warm_tier_size": args.warm_tier_size}
     config = ServeConfig(
-        shards=args.shards, worker_mode=args.worker_mode, http_port=0,
-        batch_window=0.001, **bound,
+        shards=args.shards, worker_mode=args.worker_mode, http_port=0, **bound,
     )
     failures = 0
     with start_in_thread(config) as handle:

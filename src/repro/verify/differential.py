@@ -626,9 +626,7 @@ def _check_served_plans(
         return
 
     async def _run() -> None:
-        service = PlanningService(
-            ServeConfig(shards=2, batch_window=0.0, queue_depth=256)
-        )
+        service = PlanningService(ServeConfig(shards=2, queue_depth=256))
         await service.start()
         try:
             for case, refs in served:

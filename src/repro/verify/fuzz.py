@@ -15,8 +15,9 @@ Two independent fuzzers share one report format:
     connection (reconnecting only where the protocol documents a
     deliberate close, e.g. an over-limit frame), a TCP frame that
     decodes to an object with a string or integer ``id`` must be
-    answered under that id, and every line the server emits must parse
-    as a JSON object.
+    answered under that id, every line the server emits must parse as a
+    strict (RFC 8259) JSON object, with no ``NaN`` or ``Infinity``, and
+    the server must stop when the sweep ends (``wedged`` otherwise).
 
 :func:`fuzz_adapt`
     Drives :func:`~repro.adapt.mm.simulate_striped_matmul_adaptive`
@@ -235,13 +236,17 @@ def _answered_internal(doc: dict) -> bool:
     )
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def _check_lines(lines: list[bytes], index: int, seed: int,
                  failures: list[FuzzFailure]) -> None:
-    """Every emitted line must be a JSON object with a typed verdict."""
+    """Every emitted line must be a strict JSON object with a typed verdict."""
     for line in lines:
         try:
-            doc = json.loads(line)
-        except (json.JSONDecodeError, RecursionError):
+            doc = json.loads(line, parse_constant=_refuse_constant)
+        except (ValueError, RecursionError):  # NaN and Infinity included
             failures.append(FuzzFailure(
                 "malformed-response", index, seed,
                 f"server emitted a non-JSON line: {line[:120]!r}", "protocol"))
@@ -416,9 +421,8 @@ def fuzz_protocol(
     """
     report = FuzzReport(seed=seed, layer="protocol")
     failures = report.failures
-    handle = start_in_thread(ServeConfig(
-        shards=1, batch_window=0.0, queue_depth=64, port=0, http_port=0,
-    ))
+    handle = start_in_thread(ServeConfig(shards=1, queue_depth=64, port=0, http_port=0))
+    k = -1
     try:
         setup_rng = np.random.default_rng([seed, 0xF0])
         sfs = [speed_function_to_dict(sf) for sf in _small_fleet(setup_rng)]
@@ -492,7 +496,15 @@ def fuzz_protocol(
                     log(f.line())
         conn.close()
     finally:
-        handle.stop(drain=False)
+        try:
+            handle.stop(drain=False)
+        except RuntimeError as exc:  # a frame wedged a shard for good
+            failures.append(FuzzFailure(
+                "wedged", k, seed,
+                f"{exc} after the sweep; a frame up to this one wedged a shard",
+                "protocol"))
+            if log:
+                log(failures[-1].line())
     _record("protocol", failures)
     return report
 

@@ -10,12 +10,13 @@ see exactly what a listener would write back.
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
 
-from repro import obs
-from repro.serve.protocol import PROTOCOL_VERSION
+from repro import Fleet, obs
+from repro.serve.protocol import PROTOCOL_VERSION, encode_frame
 
 #: A client-supplied trace context (lowercase hex ids).
 CLIENT_TRACE = {"trace_id": "ab" * 16, "span_id": "cd" * 8}
@@ -52,10 +53,10 @@ def front_end(request, trio_spec):
     from repro.serve import ServeConfig, start_in_thread
 
     if request.param == "serve":
-        handle = start_in_thread(ServeConfig(shards=1, batch_window=0.001))
+        handle = start_in_thread(ServeConfig(shards=1))
         node = None
     else:
-        node = start_thread_node("contract", batch_window=0.001)
+        node = start_thread_node("contract")
         handle = start_router_in_thread(RouterConfig(probe_interval=0), [node.info])
     try:
         fe = FrontEndUnderTest(handle, request.param)
@@ -156,6 +157,33 @@ def _register_unbounded(front_end) -> str:
                           "name": "unbounded", "speed_functions": UNBOUNDED})
     assert reg["ok"], reg
     return reg["result"]["fingerprint"]
+
+
+def _strict_json(frame: bytes) -> dict:
+    """Decode as an RFC 8259 parser would: ``NaN`` and ``Infinity`` fail."""
+
+    def refuse(constant: str):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(frame, parse_constant=refuse)
+
+
+def test_register_and_stats_answers_are_strict_json(front_end, trio_sfs, trio_spec):
+    unbounded = front_end.send({"v": 1, "id": 0, "op": "register_fleet",
+                                "name": "unbounded", "speed_functions": UNBOUNDED})
+    bounded = front_end.send({"v": 1, "id": 1, "op": "register_fleet",
+                              "name": "trio",
+                              "speed_functions": trio_spec["speed_functions"]})
+    stats = front_end.send({"v": 1, "id": 2, "op": "stats"})
+    unbounded, bounded, stats = (
+        _strict_json(encode_frame(answer)) for answer in (unbounded, bounded, stats)
+    )
+    assert unbounded["result"]["capacity"] is None
+    assert bounded["result"]["capacity"] == Fleet(trio_sfs).capacity
+    doc = stats["result"]
+    (node,) = doc["nodes"].values() if "nodes" in doc else (doc,)  # one node
+    fleets = node["fleets"]
+    assert fleets[unbounded["result"]["fingerprint"]]["capacity"] is None
 
 
 def test_a_plan_past_2_53_is_infeasible_and_the_shard_keeps_answering(front_end):

@@ -118,7 +118,7 @@ class TestResync:
         that must not revert the model the node refitted from telemetry."""
         fns = [make_pwl(200.0), make_pwl(300.0)]
         booted = cluster(
-            1, batch_window=0.0,
+            1,
             online_refit=OnlineRefitConfig(min_observations=20, min_escaped=3),
         )
         node_id = booted.nodes[0].node_id

@@ -51,7 +51,7 @@ def _shard_solves(client, fingerprint) -> dict:
 
 def test_concurrent_duplicates_solve_exactly_once(start_server, trio_sfs):
     """N threads, same key: one solve, N byte-identical responses."""
-    handle = start_server(shards=2, batch_window=0.0)
+    handle = start_server(shards=2)
     threads = 16
     with ServeClient(handle.host, handle.port) as admin:
         fingerprint = _register(admin, trio_sfs)
@@ -95,7 +95,7 @@ def test_concurrent_duplicates_solve_exactly_once(start_server, trio_sfs):
 
 def test_sequential_retries_replay_without_resolving(start_server, trio_sfs):
     """Later retries hit the remembered response: still one solve."""
-    handle = start_server(shards=1, batch_window=0.0)
+    handle = start_server(shards=1)
     with ServeClient(handle.host, handle.port) as client:
         fingerprint = _register(client, trio_sfs)
         first = client.plan(fingerprint, 500_000, idempotency_key="retry-me")
@@ -110,7 +110,7 @@ def test_sequential_retries_replay_without_resolving(start_server, trio_sfs):
 
 def test_duplicate_after_eviction_resolves_bit_identically(start_server, trio_sfs):
     """Past the window the key is gone; the fresh solve matches exactly."""
-    handle = start_server(shards=1, batch_window=0.0, idempotency_window=2)
+    handle = start_server(shards=1, idempotency_window=2)
     with ServeClient(handle.host, handle.port) as client:
         fingerprint = _register(client, trio_sfs)
         original = client.plan(fingerprint, 700_000, idempotency_key="evictee")
@@ -129,7 +129,7 @@ def test_duplicate_after_eviction_resolves_bit_identically(start_server, trio_sf
 
 def test_distinct_keys_and_tenants_do_not_coalesce(start_server, trio_sfs):
     """The dedup identity is (fleet, op, tenant, key) — all four matter."""
-    handle = start_server(shards=1, batch_window=0.0)
+    handle = start_server(shards=1)
     with ServeClient(handle.host, handle.port) as client:
         fingerprint = _register(client, trio_sfs)
         client.plan(fingerprint, 400_000, tenant="t1", idempotency_key="k")
@@ -153,7 +153,7 @@ def test_plan_many_idempotency_replays_whole_batch(start_server, trio_sfs):
 
 
 def test_requests_without_keys_never_touch_the_window(start_server, trio_sfs):
-    handle = start_server(shards=1, batch_window=0.0)
+    handle = start_server(shards=1)
     with ServeClient(handle.host, handle.port) as client:
         fingerprint = _register(client, trio_sfs)
         client.plan(fingerprint, 450_000)
@@ -163,7 +163,7 @@ def test_requests_without_keys_never_touch_the_window(start_server, trio_sfs):
 
 
 def test_window_zero_disables_dedup(start_server, trio_sfs):
-    handle = start_server(shards=1, batch_window=0.0, idempotency_window=0)
+    handle = start_server(shards=1, idempotency_window=0)
     with ServeClient(handle.host, handle.port) as client:
         fingerprint = _register(client, trio_sfs)
         a = client.plan(fingerprint, 480_000, idempotency_key="k")
@@ -176,7 +176,7 @@ def test_window_zero_disables_dedup(start_server, trio_sfs):
 @pytest.mark.parametrize("mode", ["thread", "process"])
 def test_concurrent_duplicates_across_worker_modes(start_server, trio_sfs, mode):
     """The coalescing happens in the front-end: mode must not matter."""
-    handle = start_server(shards=1, worker_mode=mode, batch_window=0.0)
+    handle = start_server(shards=1, worker_mode=mode)
     threads = 8
     with ServeClient(handle.host, handle.port) as admin:
         fingerprint = _register(admin, trio_sfs)
@@ -207,7 +207,7 @@ def test_keyed_replay_is_not_charged_quota(start_server, trio_sfs):
     """A one-token bucket pays for the first keyed plan only: its replay
     still answers, while an unkeyed second plan is throttled."""
     handle = start_server(
-        shards=1, batch_window=0.0,
+        shards=1,
         tenancy=TenancyConfig(default=TenantQuota(rate=0.001, burst=1)),
     )
     with ServeClient(handle.host, handle.port) as client:
@@ -224,7 +224,7 @@ def test_keyed_replay_is_pinned_across_a_refit(start_server):
     replay returns the plan the key first answered."""
     fns = [make_pwl(200.0), make_pwl(300.0)]
     handle = start_server(
-        shards=1, batch_window=0.0,
+        shards=1,
         online_refit=OnlineRefitConfig(min_observations=20, min_escaped=3),
     )
     with ServeClient(handle.host, handle.port) as client:

@@ -41,7 +41,6 @@ def refit_server(start_server):
         kwargs.setdefault(
             "online_refit", OnlineRefitConfig(min_observations=20, min_escaped=3)
         )
-        kwargs.setdefault("batch_window", 0.0)
         return start_server(**kwargs)
 
     return _boot

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 import urllib.request
 
 import pytest
@@ -20,7 +21,7 @@ from tests.serve.conftest import poll_until
 
 @pytest.fixture
 def server(start_server):
-    return start_server(shards=2, batch_window=0.001, queue_depth=16, http_port=0)
+    return start_server(shards=2, queue_depth=16, http_port=0)
 
 
 class TestTcp:
@@ -142,32 +143,46 @@ class TestLoadAndDrain:
         with ServeClient(server.host, server.port) as client:
             assert client.stats()["shed"] == 0
 
-    def test_stop_drains_in_flight_requests(self, start_server, trio_sfs):
-        # A wide-open batching window holds requests server-side; stop()
-        # must flush and answer them rather than dropping the connection.
-        handle = start_server(shards=1, batch_window=20.0, queue_depth=16)
+    def test_stop_drains_in_flight_requests(self, start_server, trio_sfs, worker_gate):
+        # With the shard held, plan 1 keeps its lane busy and plan 2 waits
+        # on the lane server-side; stop() must flush and answer both
+        # rather than dropping the connection.
+        handle = start_server(shards=1, queue_depth=16)
         with ServeClient(handle.host, handle.port) as client:
             fp = client.register_fleet(trio_sfs, name="trio")["fingerprint"]
+        handle.service.pool.register(worker_gate.spec(), "gate-key")
+        assert worker_gate.entered.wait(timeout=10)
+
+        # Polled on the server's own loop, so it can't race the
+        # accept/read path.
+        async def _lane():
+            return sum(handle.service.health()["queue_depths"]), len(handle.service._waiting)
+
         with socket.create_connection((handle.host, handle.port), timeout=30) as sock:
             reader = sock.makefile("rb")
-            sock.sendall(
-                json.dumps({"v": 1, "id": 1, "op": "plan", "fleet": fp, "n": 1000}).encode()
-                + b"\n"
-            )
-
-            # Wait until the request is parked in the batching window
-            # (polled on the server's own loop, so it can't race the
-            # accept/read path) — then stop underneath it.
-            async def _open_windows():
-                return len(handle.service._batches)
-
+            for req_id, n, parked in ((1, 1000, (1, 0)), (2, 2000, (1, 1))):
+                sock.sendall(
+                    json.dumps({"v": 1, "id": req_id, "op": "plan", "fleet": fp,
+                                "n": n}).encode() + b"\n"
+                )
+                poll_until(
+                    lambda: handle.call(_lane()) == parked,
+                    message=f"request {req_id} never reached its lane",
+                )
+            stopper = threading.Thread(target=handle.stop, kwargs={"drain": True})
+            stopper.start()
+            # The drain flushes the waiting lane before the gate opens.
             poll_until(
-                lambda: handle.call(_open_windows()) > 0,
-                message="request never reached the batcher",
+                lambda: sum(handle.service.health()["queue_depths"]) == 2,
+                message="the drain never flushed the waiting lane",
             )
-            handle.stop(drain=True)
-            response = json.loads(reader.readline())
-            assert response["ok"] and response["result"]["n"] == 1000
+            worker_gate.release()
+            stopper.join(timeout=60)
+            assert not stopper.is_alive()
+            responses = [json.loads(reader.readline()) for _ in range(2)]
+            assert sorted((r["id"], r["result"]["n"]) for r in responses) == [
+                (1, 1000), (2, 2000)
+            ]
 
     def test_server_refuses_new_connections_after_stop(self, start_server):
         handle = start_server(shards=1, queue_depth=8)

@@ -16,8 +16,12 @@ import pytest
 from repro import ConfigurationError, Fleet, Planner
 from repro.core.step_model import StepSpeedFunction
 from repro.io import speed_function_to_dict
-from repro.serve.protocol import speed_functions_from_fleet_spec
-from repro.serve.shard import ShardPool
+from repro.serve.protocol import (
+    encode_frame,
+    ok_response,
+    speed_functions_from_fleet_spec,
+)
+from repro.serve.shard import ShardPool, result_to_dict
 
 
 def _register(pool, spec):
@@ -47,6 +51,25 @@ class TestSolving:
             assert got["makespan"] == float(want.makespan)
             assert got["allocation"] == [int(x) for x in want.allocation]
             assert got["p"] == fleet.p
+
+    @pytest.mark.parametrize("p", [64, 1080])
+    def test_served_allocation_encodes_to_the_same_bytes(self, p):
+        # result_to_dict lists the allocation with ndarray.tolist(); the
+        # envelope must match the per-element int() list byte for byte.
+        from repro.experiments import build_network_models, tile_speed_functions
+        from repro.machines import table2_network
+
+        fleet = Fleet(tile_speed_functions(
+            build_network_models(table2_network(), "matmul"), p
+        ))
+        planner = Planner(fleet)
+        for n in (0, 1, 7_919, 1_000_003, int(fleet.capacity) // 2):
+            plan = planner.plan(n)
+            per_int = {**result_to_dict(plan, allocation=False),
+                       "allocation": [int(x) for x in plan.allocation]}
+            assert encode_frame(ok_response(1, result_to_dict(plan))) == encode_frame(
+                ok_response(1, per_int)
+            )
 
     def test_allocation_flag_trims_the_wire_shape(self, trio_spec):
         with ShardPool(1, queue_depth=8) as pool:

@@ -183,7 +183,6 @@ def test_legacy_frames_parse_identically():
 def test_throttled_error_code_end_to_end(start_server, trio_sfs):
     handle = start_server(
         shards=1,
-        batch_window=0.0,
         tenancy=TenancyConfig(
             tenants={"capped": TenantQuota(rate=0.001, burst=2.0)}
         ),
@@ -209,10 +208,9 @@ def test_legacy_traffic_snapshot_with_tenancy_idle(start_server, trio_sfs):
     must answer a legacy frame with byte-identical result payloads,
     and the default server must report tenancy disabled.
     """
-    plain = start_server(shards=1, batch_window=0.0)
+    plain = start_server(shards=1)
     quota = start_server(
         shards=1,
-        batch_window=0.0,
         tenancy=TenancyConfig(tenants={"vip": TenantQuota(weight=9.0)}),
     )
     answers = []

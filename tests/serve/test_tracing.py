@@ -81,9 +81,7 @@ class TestConnectedTrace:
         _assert_connected(trace)
 
     def test_process_mode_request_yields_one_connected_tree(self, trio_sfs):
-        config = ServeConfig(
-            shards=1, worker_mode="process", batch_window=0.005, queue_depth=8
-        )
+        config = ServeConfig(shards=1, worker_mode="process", queue_depth=8)
 
         async def scenario(service):
             info = await service.register_fleet(trio_sfs, name="trio")
@@ -268,7 +266,7 @@ class TestFailureRetention:
     ):
         depth, extra = 3, 12
         config = ServeConfig(
-            shards=1, batch_window=0.0, queue_depth=depth,
+            shards=1, queue_depth=depth,
             flight_capacity=4,       # far smaller than the burst
         )
 
@@ -309,7 +307,7 @@ class TestFailureRetention:
     def test_deadline_expiry_is_recorded(self, trio_sfs, worker_gate):
         from tests.serve.test_service import _wait_past_queued_deadline
 
-        config = ServeConfig(shards=1, batch_window=0.0, queue_depth=8)
+        config = ServeConfig(shards=1, queue_depth=8)
 
         async def scenario(service):
             info = await service.register_fleet(trio_sfs, name="trio")
@@ -333,9 +331,7 @@ class TestFailureRetention:
 
 class TestSampling:
     def test_tracing_off_records_nothing_and_counts_sampled(self, trio_sfs):
-        config = ServeConfig(
-            shards=1, batch_window=0.005, queue_depth=8, tracing=False
-        )
+        config = ServeConfig(shards=1, queue_depth=8, tracing=False)
 
         async def scenario(service):
             info = await service.register_fleet(trio_sfs, name="trio")
@@ -364,7 +360,7 @@ class TestHttpPlane:
     def live(self, start_server, trio_sfs):
         from repro.serve import ServeClient
 
-        handle = start_server(http_port=0, batch_window=0.001)
+        handle = start_server(http_port=0)
         with ServeClient(handle.host, handle.port) as client:
             info = client.register_fleet(trio_sfs, name="trio")
             resp_trace = client.call(

@@ -171,7 +171,7 @@ class TestServeCommand:
     def test_serve_once_self_check(self, capsys):
         assert main([
             "serve", "--once", "--port", "0", "--http-port", "-1",
-            "--p", "4", "--shards", "1", "--batch-window-ms", "0",
+            "--p", "4", "--shards", "1",
         ]) == 0
         out = capsys.readouterr().out
         assert "serving on" in out
@@ -193,7 +193,7 @@ class TestServeFacingStatsAndTrace:
         from repro.machines import table2_network
         from repro.serve import ServeClient, ServeConfig, start_in_thread
 
-        config = ServeConfig(shards=1, http_port=0, batch_window=0.001)
+        config = ServeConfig(shards=1, http_port=0)
         with start_in_thread(config) as handle:
             sfs = tile_speed_functions(
                 build_network_models(table2_network(), "matmul"), 4

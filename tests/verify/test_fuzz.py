@@ -78,6 +78,19 @@ class TestProtocolFuzz:
         report = fuzz_protocol(frames=8, seed=4, only_frame=1)  # a plan_many frame
         assert [(f.kind, f.index) for f in report.failures] == [("internal", 1)]
 
+    def test_a_server_that_will_not_stop_is_reported_wedged(self, monkeypatch):
+        from repro.serve.server import ServerHandle
+
+        stop = ServerHandle.stop
+
+        def stop_then_fail(handle, **kwargs):
+            stop(handle, **kwargs)
+            raise RuntimeError("server thread did not stop in time")
+
+        monkeypatch.setattr(ServerHandle, "stop", stop_then_fail)
+        report = fuzz_protocol(frames=4)
+        assert [(f.kind, f.index) for f in report.failures] == [("wedged", 3)]
+
     def test_counter_increments(self):
         fuzz_protocol(frames=8, seed=2)
         counter = obs.get_registry().counter(
