@@ -85,7 +85,7 @@ nested scaled(scaled)     1e-9 class: one fused division versus two
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -166,66 +166,55 @@ class PiecewiseLinearSet:
                     f"({type(functions[missing[0]]).__name__}) does not compile"
                 )
         p = len(rows)
-        widths = [r.num_knots for r in rows]
-        m = max(widths)
-        xs = np.empty((p, m))
-        ss = np.empty((p, m))
+        widths = np.array([r.num_knots for r in rows], dtype=np.int64)
+        m = int(widths.max())
+        xs, ss = np.empty((p, m)), np.empty((p, m))
+        drops = np.zeros((p, m), dtype=bool)
         for i, r in enumerate(rows):
-            k = r.num_knots
-            xs[i, :k] = r.sizes
-            ss[i, :k] = r.speeds
-            xs[i, k:] = r.sizes[-1]
-            ss[i, k:] = r.speeds[-1]
-        self._xs = xs
-        self._ss = ss
-        self._widths = np.asarray(widths, dtype=np.int64)
-        # Row decorations.
-        self._scale = np.array([r.scale for r in rows])
-        self._alpha = np.array([r.alpha for r in rows])
-        self._beta = np.array([r.beta for r in rows])
-        self._comm_mask = (self._alpha > 0) | (self._beta > 0)
-        self._has_scale = bool(np.any(self._scale != 1.0))
+            _put_knots(xs, ss, drops, i, r)
+        decorations = zip(*map(_decorations, rows))
+        self._derive(xs, ss, widths, drops, *map(np.array, decorations))
+        _record_pack_build()
+
+    def _derive(
+        self, xs, ss, widths, drops, scale, alpha, beta, exact, caps, s_caps
+    ) -> None:
+        """Keep the row tables (padded knots, drop flags, one decoration
+        per row) and derive everything the searches read from them."""
+        p, m = xs.shape
+        self._xs, self._ss, self._widths, self._drops = xs, ss, widths, drops
+        self._scale, self._alpha, self._beta = scale, alpha, beta
+        self._exact, self._caps, self._s_caps = exact, caps, s_caps
+        self._comm_mask = (alpha > 0) | (beta > 0)
+        self._has_scale = bool(np.any(scale != 1.0))
         self._has_comm = bool(np.any(self._comm_mask))
-        self._exact = np.array([r.exact for r in rows], dtype=bool)
         # Effective domain bound per row (the truncation cap when present)
-        # and the inner (compute) speed there.
-        knot_last_x = np.array([float(r.sizes[-1]) for r in rows])
-        knot_last_s = np.array([float(r.speeds[-1]) for r in rows])
-        caps = np.array(
-            [np.inf if r.x_cap is None else float(r.x_cap) for r in rows]
-        )
+        # and the inner (compute) speed there; padding repeats each row's
+        # last knot, so the last column holds it.
+        knot_last_x = xs[:, -1].copy()
+        knot_last_s = ss[:, -1].copy()
         self._has_trunc = bool(np.any(caps < knot_last_x))
         self._x_knot_last = knot_last_x
         self._x_last = np.minimum(caps, knot_last_x)
         self._max_total = min(
             float(np.floor(self._x_last).sum()), float(MAX_PROBLEM_SIZE)
         )
-        self._s_last = np.where(
-            caps < knot_last_x,
-            np.array(
-                [0.0 if r.s_cap is None else float(r.s_cap) for r in rows]
-            ),
-            knot_last_s,
-        )
+        self._s_last = np.where(caps < knot_last_x, s_caps, knot_last_s)
         # Effective ray slopes at each knot.  Pure rows: g = s/x.  Comm
         # rows: g' = 1/t(x_k) with t = x/s + alpha + beta*x, strictly
         # decreasing, bounded above by 1/alpha.
         with np.errstate(divide="ignore", invalid="ignore"):
             gs = ss / xs
             if self._has_comm:
-                t_k = (
-                    xs / ss
-                    + self._alpha[:, None]
-                    + self._beta[:, None] * xs
-                )
+                t_k = xs / ss + alpha[:, None] + beta[:, None] * xs
                 gs = np.where(self._comm_mask[:, None], 1.0 / t_k, gs)
         # Make padded slots unreachable: strictly below every real slope.
-        pad = np.arange(m)[None, :] >= np.asarray(widths)[:, None]
+        pad = np.arange(m)[None, :] >= widths[:, None]
         gs = np.where(pad, -np.inf, gs)
         # One more -inf column, so every row has a slot below any query.
         self._gs = np.concatenate([gs, np.full((p, 1), -np.inf)], axis=1)
         self._g_first = gs[:, 0]
-        self._g_last = gs[np.arange(p), self._widths - 1]
+        self._g_last = gs[np.arange(p), widths - 1]
         self._s_first = ss[:, 0]
         # Per-segment line parameters s = a + b*x (column j: segment j->j+1;
         # the last column is a flat stub that keeps every array m wide).
@@ -244,11 +233,9 @@ class PiecewiseLinearSet:
         # boundary — the exact ``sup`` answer for a ray crossing a
         # vertical speed drop.  (Comm rows: A=0, B=1, C=0 resolves the
         # quadratic to 0 with the same clip.)
-        for i, r in enumerate(rows):
-            if r.drops is not None and np.any(r.drops):
-                d = np.asarray(r.drops, dtype=bool)
-                b[i, : d.size][d] = 0.0
-                intercept[i, : d.size][d] = 0.0
+        if drops.any():
+            b = np.where(drops, 0.0, b)
+            intercept = np.where(drops, 0.0, intercept)
         # Flat views of the (p, m) tables: row i, column j is entry
         # i*m + j, so a per-row gather is one 1-D ``take``.
         self._base = np.arange(p) * m
@@ -259,7 +246,41 @@ class PiecewiseLinearSet:
         # Shared across rescaled() clones so the expensive knot digest is
         # computed once per knot set, not once per scale vector.
         self._static_digest_box: list[bytes | None] = [None]
-        _record_pack_build()
+
+    def with_rows(self, rows: Mapping[int, KnotRow]) -> "PiecewiseLinearSet":
+        """This pack with the rows at the given indices replaced.
+
+        Only the new rows are lowered; every other row's knots and
+        decorations are copied as arrays, re-padded to the new widest
+        row, so the result equals a from-scratch build (fingerprint
+        included) without a full build's per-row work.
+        """
+        widths = self._widths.copy()
+        for i, r in rows.items():
+            widths[i] = r.num_knots
+        m = int(widths.max())
+        # Padding repeats a row's last knot and no drop reaches the last
+        # column, so repeating that column widens a table as a fresh
+        # build would.
+        cols = np.minimum(np.arange(m), self._m - 1)
+        xs, ss, drops = (
+            np.ascontiguousarray(t[:, cols])  # the searches ravel C order
+            for t in (self._xs, self._ss, self._drops)
+        )
+        decorations = [
+            column.copy() for column in (
+                self._scale, self._alpha, self._beta,
+                self._exact, self._caps, self._s_caps,
+            )
+        ]
+        for i, r in rows.items():
+            drops[i] = False
+            _put_knots(xs, ss, drops, i, r)
+            for column, value in zip(decorations, _decorations(r)):
+                column[i] = value
+        clone = object.__new__(PiecewiseLinearSet)
+        clone._derive(xs, ss, widths, drops, *decorations)
+        return clone
 
     @property
     def p(self) -> int:
@@ -613,6 +634,27 @@ class PiecewiseLinearSet:
             )
             return tb + extra
         return x / s
+
+
+def _decorations(row: KnotRow) -> tuple:
+    """A row's scale, alpha, beta, exact flag, cap and speed at the cap."""
+    return (
+        row.scale, row.alpha, row.beta, row.exact,
+        np.inf if row.x_cap is None else float(row.x_cap),
+        0.0 if row.s_cap is None else float(row.s_cap),
+    )
+
+
+def _put_knots(xs, ss, drops, i: int, row: KnotRow) -> None:
+    """Write one row's knots, padded with its last knot, and its drops."""
+    k = row.num_knots
+    xs[i, :k] = row.sizes
+    ss[i, :k] = row.speeds
+    xs[i, k:] = row.sizes[-1]
+    ss[i, k:] = row.speeds[-1]
+    if row.drops is not None:
+        d = np.asarray(row.drops, dtype=bool)
+        drops[i, : d.size] = d
 
 
 def _record_pack_build() -> None:

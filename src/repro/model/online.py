@@ -44,7 +44,7 @@ from ..exceptions import ConfigurationError, MeasurementError
 from ..obs import get_registry
 from ..obs.sink import Observation
 from ..planner import Fleet
-from .builder import ModelBuildOptions, _trisect, repair_monotone_g, within_band
+from .builder import ModelBuildOptions, _trisect, repair_monotone_g
 
 __all__ = ["FleetRefit", "MachineRefit", "OnlineBandRefitter"]
 
@@ -190,14 +190,6 @@ class OnlineBandRefitter:
         self._min_escaped = int(min_escaped)
         self._name = str(name)
         self._base_fleet = Fleet(self._functions, name=self._name)
-        # Per-machine compiled knot rows, kept so a refit re-lowers only
-        # the machines it changed (see _updated_fleet).  Absent when the
-        # fleet does not compile into the vectorised pack.
-        self._base_rows = (
-            [sf.as_knots() for sf in self._functions]
-            if isinstance(self._base_fleet.pack, PiecewiseLinearSet)
-            else None
-        )
         reg = get_registry()
         self._checks = reg.counter(
             "model.refit.checks", help="online refit passes evaluated"
@@ -303,23 +295,19 @@ class OnlineBandRefitter:
     ) -> Fleet:
         """Fleet over ``functions``, re-lowering only the re-fitted rows.
 
-        When the base fleet compiled, the cached knot rows answer for
-        every untouched machine and only the changed machines go through
-        ``as_knots`` again, so an applied refit costs ``O(changed)``
-        lowering plus one array pack instead of ``O(p)``.  The resulting
-        fingerprint is identical to a from-scratch build because the pack
-        digests knot *content*, not construction history.
+        When the base fleet compiled, its pack answers for every
+        untouched machine and only the changed machines go through
+        ``as_knots`` again (:meth:`PiecewiseLinearSet.with_rows`), so an
+        applied refit costs ``O(changed)`` lowering plus array copies
+        instead of a full build.  The fingerprint is identical to a
+        from-scratch build because the pack digests knot *content*, not
+        construction history.
         """
-        if self._base_rows is not None:
-            rows = list(self._base_rows)
-            for i in changed:
-                row = functions[i].as_knots()
-                if row is None:
-                    break
-                rows[i] = row
-            else:
-                pack = PiecewiseLinearSet(functions, rows=rows)
-                return Fleet(functions, name=self._name, pack=pack)
+        base = self._base_fleet.pack
+        if isinstance(base, PiecewiseLinearSet):
+            rows = {i: functions[i].as_knots() for i in changed}
+            if all(row is not None for row in rows.values()):
+                return Fleet(functions, name=self._name, pack=base.with_rows(rows))
         return Fleet(functions, name=self._name)
 
     def _refit_machine(
@@ -346,20 +334,17 @@ class OnlineBandRefitter:
         eps = options.eps
         floor = float(ss[0])
 
-        # The escape test, per observation, against its band segment.
+        # The escape test, per observation, against its band segment:
+        # within_band's arithmetic, one array operation per step.
         seg = np.clip(
             np.searchsorted(xs, obs_xs, side="right") - 1, 0, xs.size - 2
         )
-        escaped_per_seg = np.zeros(xs.size - 1, dtype=int)
-        escaped = 0
-        for x, s, k in zip(obs_xs, obs_ss, seg):
-            if not within_band(
-                float(x), float(s),
-                float(xs[k]), float(ss[k]), float(xs[k + 1]), float(ss[k + 1]),
-                eps=eps, floor=floor,
-            ):
-                escaped_per_seg[k] += 1
-                escaped += 1
+        xl, sl, xr, sr = xs[seg], ss[seg], xs[seg + 1], ss[seg + 1]
+        interp = sl + (sr - sl) * (obs_xs - xl) / (xr - xl)
+        tol = eps * np.maximum(np.abs(interp), eps * floor)
+        out = ~(np.abs(obs_ss - interp) <= tol)
+        escaped_per_seg = np.bincount(seg[out], minlength=xs.size - 1)
+        escaped = int(out.sum())
 
         dirty = escaped_per_seg >= self._min_escaped
         if not dirty.any():

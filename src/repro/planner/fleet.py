@@ -25,6 +25,7 @@ naturally gets a new fingerprint and therefore a disjoint cache key space.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -51,8 +52,9 @@ class Fleet:
         Optional precompiled
         :class:`~repro.core.vectorized.PiecewiseLinearSet` for exactly
         these functions, skipping the ``O(p*m)`` repack.  The online
-        refitter passes one built by re-lowering only the re-fitted
-        machines' rows on top of the previous pack's.  The caller is
+        refitter passes one from
+        :meth:`~repro.core.vectorized.PiecewiseLinearSet.with_rows`,
+        which re-lowers only the re-fitted machines.  The caller is
         responsible for the pack matching ``speed_functions`` knot for
         knot; only the processor count is checked here.
     """
@@ -71,18 +73,20 @@ class Fleet:
             raise InvalidSpeedFunctionError(
                 "a fleet needs at least one speed function"
             )
-        for i, sf in enumerate(sfs):
-            if not isinstance(sf, SpeedFunction):
-                raise InvalidSpeedFunctionError(
-                    f"speed_functions[{i}] is not a SpeedFunction: {sf!r}"
-                )
+        # One subclass check per distinct type: a p=1080 fleet has a few.
+        if not all(issubclass(t, SpeedFunction) for t in set(map(type, sfs))):
+            for i, sf in enumerate(sfs):
+                if not isinstance(sf, SpeedFunction):
+                    raise InvalidSpeedFunctionError(
+                        f"speed_functions[{i}] is not a SpeedFunction: {sf!r}"
+                    )
         if pack is not None and pack.p != len(sfs):
             raise InvalidSpeedFunctionError(
                 f"pack covers {pack.p} processors, fleet has {len(sfs)}"
             )
         self._sfs = sfs
         self._pack = pack if pack is not None else pack_speed_functions(sfs)
-        self._capacity = float(sum(sf.max_size for sf in sfs))
+        self._capacity = float(sum(map(attrgetter("max_size"), sfs)))
         self._name = name
         self._fingerprint = self._pack.fingerprint
 

@@ -321,6 +321,44 @@ class TestRescaleClone:
         assert other.fingerprint != pack.fingerprint
 
 
+class TestRowReplacement:
+    """``with_rows`` is a from-scratch build over the new rows."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "swap",
+        [
+            {0: 6},  # a narrow row takes the other table's width
+            {6: 0},  # the widest row (the table) narrows
+            {2: 2, 4: 4},  # step drops and comm terms
+            {3: 3, 5: 5},  # a truncation cap and a constant
+            {i: i for i in range(7)},
+        ],
+    )
+    def test_matches_a_full_build(self, seed, swap):
+        rng = np.random.default_rng(seed)
+        old, new = _decorated_fleet(rng), _decorated_fleet(rng)
+        sfs = list(old)
+        for i, j in swap.items():
+            sfs[i] = new[j]
+        patched = pack_speed_functions(old).with_rows(
+            {i: sfs[i].as_knots() for i in swap}
+        )
+        full = pack_speed_functions(sfs)
+        assert patched.fingerprint == full.fingerprint
+        for name, value in vars(full).items():
+            if isinstance(value, np.ndarray):
+                got = getattr(patched, name)
+                assert got.dtype == value.dtype, name
+                np.testing.assert_array_equal(got, value, err_msg=name)
+            elif name not in ("_fingerprint", "_static_digest_box"):
+                assert getattr(patched, name) == value, name
+        for slope in SLOPES:
+            np.testing.assert_array_equal(
+                patched.allocations(slope), full.allocations(slope)
+            )
+
+
 class TestCounters:
     def test_fast_path_and_fallback_labels(self, fresh_obs):
         from repro import obs

@@ -12,6 +12,7 @@ from repro import (
     PiecewiseLinearSpeedFunction,
 )
 from repro.model import ModelBuildOptions, OnlineBandRefitter
+from repro.model.builder import within_band
 
 from ..conftest import make_pwl
 
@@ -99,6 +100,38 @@ class TestNoDrift:
         assert refit.observations == 2
 
 
+class TestEscapeCount:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_scalar_band_test(self, seed):
+        rng = np.random.default_rng(seed)
+        fn = make_pwl(200.0)
+        xs, ss = fn.knot_sizes, fn.knot_speeds
+        sizes = np.unique(
+            np.concatenate([rng.uniform(xs[0], xs[-1], 60), xs[:-1]])
+        )
+        eps = ModelBuildOptions().eps
+        # Points inside, on and just past either edge of the band.
+        offset = rng.choice([0.0, 0.5, 0.999, 1.0, 1.001, 2.0], sizes.size)
+        sign = rng.choice([-1.0, 1.0], sizes.size)
+        speeds = np.interp(sizes, xs, ss) * (1.0 + sign * offset * eps)
+        recs = [
+            Observation.from_step(0, float(x), float(s), time=float(i))
+            for i, (x, s) in enumerate(zip(sizes, speeds))
+        ]
+        refit = OnlineBandRefitter([fn], min_escaped=10**6).refit(recs)
+
+        want = 0
+        for x, s in zip(sizes, speeds):
+            k = min(max(int(np.searchsorted(xs, x, side="right")) - 1, 0), xs.size - 2)
+            want += not within_band(
+                float(x), float(s),
+                float(xs[k]), float(ss[k]), float(xs[k + 1]), float(ss[k + 1]),
+                eps=eps, floor=float(ss[0]),
+            )
+        assert 0 < want < sizes.size
+        assert refit.machines[0].escaped == want
+
+
 class TestShapeDrift:
     def test_refit_closes_band_shape_drift(self):
         fn = make_pwl(200.0)
@@ -131,6 +164,22 @@ class TestShapeDrift:
         refit = refitter.refit(recs)
         assert refit.refitted_machines == (0,)
         assert refit.functions[1] is fns[1]
+
+    def test_refitted_fleet_equals_a_from_scratch_build(self):
+        from repro import Fleet
+
+        fns = [make_pwl(100.0 + 10.0 * i) for i in range(12)]
+        truth = drifted(fns[5], 2.0, 5e5)
+        refitter = OnlineBandRefitter(fns, min_escaped=3, name="t")
+        refit = refitter.refit(steps(5, np.linspace(2e4, 1.9e6, 60), truth))
+        assert refit.refitted_machines == (5,)
+        full = Fleet(refit.functions, name="t")
+        assert refit.fingerprint_after == full.fingerprint
+        assert refit.fleet.capacity == full.capacity
+        for slope in (1e-5, 1e-3, 1e-1):
+            assert np.array_equal(
+                refit.fleet.pack.allocations(slope), full.pack.allocations(slope)
+            )
 
     def test_refit_is_deterministic(self):
         fn = make_pwl(200.0)
