@@ -233,16 +233,22 @@ def _cmd_traces(args: argparse.Namespace) -> None:
     )
 
 
-def _build_planner(args: argparse.Namespace):
-    """Fleet + planner + query sizes shared by plan/stats/trace."""
+def _testbed(args: argparse.Namespace) -> tuple[list, str]:
+    """The table-2 testbed tiled to ``--p`` machines, and its fleet name."""
     from .experiments import tile_speed_functions
-    from .planner import Fleet, Planner
 
-    net = table2_network()
-    models = build_network_models(net, args.kernel)
+    models = build_network_models(table2_network(), args.kernel)
     p = args.p if args.p is not None else len(models)
     sfs = tile_speed_functions(models, p) if p != len(models) else models
-    fleet = Fleet(sfs, name=f"table2-{args.kernel}-p{p}")
+    return sfs, f"table2-{args.kernel}-p{p}"
+
+
+def _build_planner(args: argparse.Namespace):
+    """Fleet + planner + query sizes shared by plan/stats/trace."""
+    from .planner import Fleet, Planner
+
+    sfs, name = _testbed(args)
+    fleet = Fleet(sfs, name=name)
     planner = Planner(fleet, algorithm=args.algorithm)
     if args.sizes:
         # float() first so scientific notation ("2e8") works on the CLI.
@@ -315,9 +321,10 @@ def _http_json(addr: str, path: str) -> dict:
         with urllib.request.urlopen(url, timeout=10.0) as resp:
             return _json.load(resp)
     except urllib.error.HTTPError as exc:
-        if exc.code == 404:
-            raise CommandError(f"{url}: {exc.read().decode('utf-8', 'replace')}")
-        raise CommandError(f"{url}: HTTP {exc.code}")
+        with exc:  # the error owns the response socket
+            if exc.code == 404:
+                raise CommandError(f"{url}: {exc.read().decode('utf-8', 'replace')}")
+            raise CommandError(f"{url}: HTTP {exc.code}")
     except (urllib.error.URLError, OSError) as exc:
         raise CommandError(f"cannot reach {url}: {exc}")
 
@@ -340,53 +347,53 @@ def _watch_loop(render: Callable[[], None], interval: float | None) -> None:
 
 
 def _render_serve_stats(args: argparse.Namespace) -> None:
+    """`repro stats --serve`: the admin skeleton, then the role's own view."""
     doc = _http_json(args.serve_addr, "/stats")
     if args.format == "json":
         import json as _json
 
         print(_json.dumps(doc, indent=2, sort_keys=True))
         return
-    if "cluster" in doc:
-        # The address points at a cluster router: render the aggregated
-        # membership + per-node view instead of single-server counters.
-        _render_cluster_stats(doc)
-        return
+    router = doc.get("role") == "router"
+    prefix = "cluster" if router else "serve"
     trace = doc.get("trace") or {}
     rows = [
-        ("serve.requests", "", doc.get("requests", 0)),
-        ("serve.responses", "status=ok", doc.get("responses_ok", 0)),
-        ("serve.responses", "status=error", doc.get("responses_error", 0)),
-        ("serve.shed", "", doc.get("shed", 0)),
-        ("serve.batches", "", doc.get("batches", 0)),
-        ("serve.trace.recorded", "", trace.get("recorded", 0)),
-        ("serve.trace.retained", "", trace.get("retained", 0)),
-        ("serve.trace.evicted", "", trace.get("evicted", 0)),
-        ("serve.trace.sampled", "", trace.get("sampled", 0)),
+        (f"{prefix}.requests", "", doc.get("requests", 0)),
+        (f"{prefix}.responses", "status=ok", doc.get("responses_ok", 0)),
+        (f"{prefix}.responses", "status=error", doc.get("responses_error", 0)),
+        (f"{prefix}.process_cpu_s", "", f"{doc.get('process_cpu_s', 0.0):.3f}"),
     ]
+    rows.extend((f"{prefix}.trace.{name}", "", value) for name, value in trace.items())
+    own_rows, tables = (_router_view if router else _server_view)(doc)
+    print(ascii_table(["metric", "labels", "value"], rows + own_rows,
+                      title="Router counters" if router else "Serve counters"))
+    for table in tables:
+        print()
+        print(table)
+
+
+def _server_view(doc: dict) -> tuple[list, list[str]]:
+    """A planning server's own counter rows, tenant and fleet tables."""
     refit = doc.get("refit") or {}
     counters = refit.get("counters") or {}
-    rows.extend(
-        (f"model.refit.{name}", "", counters.get(name, 0)) for name in sorted(counters)
-    )
-    rows.append(
-        ("planner.cache.invalidations", "refit", refit.get("invalidated", 0))
-    )
     tenancy = doc.get("tenancy") or {}
     idem = tenancy.get("idempotency") or {}
     warm = tenancy.get("warm_tier") or {}
-    rows.extend(
-        (f"serve.idempotent.{name}", "", idem.get(name, 0))
-        for name in ("hits", "coalesced", "misses", "evictions")
-    )
-    rows.append(("serve.warm_tier.entries",
-                 "enabled" if warm.get("enabled") else "disabled",
-                 warm.get("entries", 0)))
-    print(ascii_table(["metric", "labels", "value"], rows, title="Serve counters"))
+    rows = [
+        ("serve.shed", "", doc.get("shed", 0)),
+        ("serve.batches", "", doc.get("batches", 0)),
+        *((f"model.refit.{name}", "", counters[name]) for name in sorted(counters)),
+        ("planner.cache.invalidations", "refit", refit.get("invalidated", 0)),
+        *((f"serve.idempotent.{name}", "", idem.get(name, 0))
+          for name in ("hits", "coalesced", "misses", "evictions")),
+        ("serve.warm_tier.entries", "enabled" if warm.get("enabled") else "disabled",
+         warm.get("entries", 0)),
+    ]
+    tables = []
     tenants = tenancy.get("tenants") or {}
     if tenants:
         backlogs = tenancy.get("backlogs") or {}
-        print()
-        print(
+        tables.append(
             ascii_table(
                 ["tenant", "requests", "throttled", "shed", "backlog"],
                 [
@@ -398,17 +405,10 @@ def _render_serve_stats(args: argparse.Namespace) -> None:
                 + (" (quotas on)" if tenancy.get("enabled") else ""),
             )
         )
-    recorder_rows = [
-        (k, trace.get(k, 0))
-        for k in ("ring_size", "error_store_size", "slow_store_size", "capacity")
-    ]
-    print()
-    print(ascii_table(["flight recorder", "value"], recorder_rows))
     fleets = doc.get("fleets") or {}
     if fleets:
         per_fleet = refit.get("fleets") or {}
-        print()
-        print(
+        tables.append(
             ascii_table(
                 ["fleet", "name", "p", "shard", "refits"],
                 [
@@ -420,62 +420,51 @@ def _render_serve_stats(args: argparse.Namespace) -> None:
                 title="Registered fleets",
             )
         )
+    return rows, tables
 
 
-def _render_cluster_stats(doc: dict) -> None:
-    """`repro stats --serve` against a router: the whole cluster at once."""
+def _router_view(doc: dict) -> tuple[list, list[str]]:
+    """A router's routing rows, one row per member, and fleet placement."""
     router = doc.get("router") or {}
     rows = [
-        ("cluster.requests", "", router.get("requests", 0)),
         ("cluster.route", "path=primary", router.get("routed_primary", 0)),
         ("cluster.route", "path=fallback", router.get("routed_fallback", 0)),
         ("cluster.route", "path=unavailable", router.get("unavailable", 0)),
         ("cluster.shed", "", router.get("shed", 0)),
         ("cluster.reshards", "", router.get("reshards", 0)),
-        ("cluster.trace.recorded", "", (router.get("trace") or {}).get("recorded", 0)),
     ]
-    print(ascii_table(["metric", "labels", "value"], rows, title="Router counters"))
     breakers = router.get("breakers") or {}
-    nodes = doc.get("nodes") or {}
-    node_rows = []
-    for node_id in sorted(nodes):
-        nd = nodes[node_id]
+    members = []
+    for node_id, nd in sorted((doc.get("nodes") or {}).items()):
         if nd.get("ok"):
-            node_rows.append(
-                (node_id, breakers.get(node_id, "?"), nd.get("requests", 0),
-                 nd.get("responses_ok", 0), nd.get("responses_error", 0),
-                 nd.get("shed", 0), len(nd.get("fleets") or {}),
-                 (nd.get("trace") or {}).get("recorded", 0))
-            )
+            values = (nd.get("requests", 0), nd.get("responses_ok", 0),
+                      nd.get("responses_error", 0),
+                      f"{nd.get('process_cpu_s', 0.0):.3f}", nd.get("shed", 0),
+                      len(nd.get("fleets") or {}),
+                      (nd.get("trace") or {}).get("recorded", 0))
         else:
-            node_rows.append(
-                (node_id, breakers.get(node_id, "?"),
-                 f"unreachable: {nd.get('error')}", "", "", "", "", "")
-            )
-    print()
-    print(
-        ascii_table(
-            ["node", "breaker", "requests", "ok", "error", "shed", "fleets",
-             "traces"],
-            node_rows,
-            title="Member nodes",
-        )
+            values = (f"unreachable: {nd.get('error')}",) + ("",) * 6
+        members.append((node_id, breakers.get(node_id, "?"), *values))
+    member_table = ascii_table(
+        ["node", "breaker", "requests", "ok", "error", "cpu s", "shed", "fleets",
+         "traces"],
+        members,
+        title="Member nodes",
     )
-    cluster = doc.get("cluster") or {}
-    fleets = cluster.get("fleets") or {}
-    if fleets:
-        print()
-        print(
-            ascii_table(
-                ["fleet", "name", "replicas"],
-                [
-                    (fp[:16], info.get("name", ""),
-                     " ".join(info.get("nodes") or []))
-                    for fp, info in sorted(fleets.items())
-                ],
-                title="Fleet placement",
-            )
-        )
+    fleets = (doc.get("cluster") or {}).get("fleets")
+    return rows, [member_table] + ([_placement_table(fleets)] if fleets else [])
+
+
+def _placement_table(fleets: dict) -> str:
+    """Each fleet's replica set, from a router's membership document."""
+    return ascii_table(
+        ["fleet", "name", "replicas"],
+        [
+            (fp[:16], info.get("name", ""), " ".join(info.get("nodes") or []))
+            for fp, info in sorted(fleets.items())
+        ],
+        title="Fleet placement",
+    )
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
@@ -572,24 +561,29 @@ def _graft_cluster_trace(router_doc: dict, node_docs: dict[str, dict]) -> dict:
     return router_doc
 
 
-def _render_cluster_traces(args: argparse.Namespace, stats_doc: dict) -> None:
-    """`repro trace --serve` against a router: the merged flight view."""
+def _render_serve_traces(args: argparse.Namespace) -> None:
+    """Flight-recorder traces from a live server or router, for humans.
+
+    A router's members are more sources: the listing merges their
+    recorders, and ``--trace-id`` grafts their subtrees into the tree.
+    """
+    stats_doc = _http_json(args.serve_addr, "/stats")
     members = _member_http_addrs(stats_doc)
     if args.trace_id:
-        router_doc = _http_json(args.serve_addr, f"/debug/traces?id={args.trace_id}")
+        path = f"/debug/traces?id={args.trace_id}"
+        doc = _http_json(args.serve_addr, path)
         node_docs: dict[str, dict] = {}
         for node_id, addr in members.items():
             try:
-                node_docs[node_id] = _http_json(
-                    addr, f"/debug/traces?id={args.trace_id}"
-                )
+                node_docs[node_id] = _http_json(addr, path)
             except CommandError:
                 continue  # this member never saw the trace (or is down)
-        doc = _graft_cluster_trace(router_doc, node_docs)
+        if node_docs:
+            doc = _graft_cluster_trace(doc, node_docs)
         print(
             f"trace {doc['trace_id']}  op={doc['op']} status={doc['status']} "
-            f"n={doc.get('n')} {doc['seconds'] * 1e3:.3f}ms "
-            f"(router + {len(node_docs)} node subtree(s))"
+            f"n={doc.get('n')} {doc['seconds'] * 1e3:.3f}ms"
+            + (f" (router + {len(node_docs)} node subtree(s))" if node_docs else "")
         )
         spans = doc.get("spans")
         if spans:
@@ -600,77 +594,35 @@ def _render_cluster_traces(args: argparse.Namespace, stats_doc: dict) -> None:
         query += "&errors=1"
     if args.slow_only:
         query += "&slow=1"
-    rows = []
-    sources = {"router": args.serve_addr, **members}
-    reachable = 0
+    found, footers = [], []
+    sources = {stats_doc.get("role") or "server": args.serve_addr, **members}
     for label, addr in sources.items():
         try:
             doc = _http_json(addr, query)
         except CommandError:
-            rows.append((label, "-", "-", "unreachable", "", ""))
+            footers.append(f"{label}: unreachable")
             continue
-        reachable += 1
-        for t in doc.get("traces", []):
-            rows.append(
+        found.extend((label, t) for t in doc.get("traces", []))
+        st = doc.get("stats") or {}
+        counts = " ".join(f"{k}={st.get(k, 0)}"
+                          for k in ("recorded", "retained", "evicted", "sampled"))
+        ring = f"(ring {st.get('ring_size', 0)}/{st.get('capacity', 0)})"
+        footers.append(f"{label}: {counts} {ring}")
+    order = "seconds" if args.slow_only else "started"
+    found.sort(key=lambda row: row[1].get(order, 0.0), reverse=True)
+    print(
+        ascii_table(
+            ["source", "trace_id", "op", "status", "n", "ms"],
+            [
                 (label, t["trace_id"], t["op"], t["status"], t.get("n", ""),
-                 f"{t['seconds'] * 1e3:.3f}", t.get("started", 0.0))
-            )
-    rows.sort(key=lambda r: r[-1] if len(r) == 7 else 0.0, reverse=True)
-    print(
-        ascii_table(
-            ["node", "trace_id", "op", "status", "n", "ms"],
-            [r[:6] for r in rows[: args.limit]],
-            title=f"Flight recorder — cluster view ({reachable} listeners)",
-        )
-    )
-    print("use --trace-id <id> for one stitched span tree across the cluster")
-
-
-def _render_serve_traces(args: argparse.Namespace) -> None:
-    """Flight-recorder traces from a live server, rendered for humans."""
-    stats_doc = _http_json(args.serve_addr, "/stats")
-    if "cluster" in stats_doc:
-        _render_cluster_traces(args, stats_doc)
-        return
-    if args.trace_id:
-        doc = _http_json(args.serve_addr, f"/debug/traces?id={args.trace_id}")
-        print(
-            f"trace {doc['trace_id']}  op={doc['op']} status={doc['status']} "
-            f"n={doc.get('n')} {doc['seconds'] * 1e3:.3f}ms"
-        )
-        spans = doc.get("spans")
-        if spans:
-            print(obs.render_spans([obs.Span.from_dict(spans)], max_children=16))
-        return
-    query = f"/debug/traces?limit={args.limit}"
-    if args.errors_only:
-        query += "&errors=1"
-    if args.slow_only:
-        query += "&slow=1"
-    doc = _http_json(args.serve_addr, query)
-    rows = [
-        (
-            t["trace_id"],
-            t["op"],
-            t["status"],
-            t.get("n", ""),
-            f"{t['seconds'] * 1e3:.3f}",
-        )
-        for t in doc.get("traces", [])
-    ]
-    print(
-        ascii_table(
-            ["trace_id", "op", "status", "n", "ms"],
-            rows,
+                 f"{t['seconds'] * 1e3:.3f}")
+                for label, t in found[: args.limit]
+            ],
             title="Flight recorder — retained traces",
         )
     )
-    st = doc.get("stats") or {}
-    print(
-        f"\nrecorded={st.get('recorded', 0)} retained={st.get('retained', 0)} "
-        f"evicted={st.get('evicted', 0)} sampled={st.get('sampled', 0)} "
-        f"(ring {st.get('ring_size', 0)}/{st.get('capacity', 0)})"
-    )
+    print()
+    print("\n".join(footers))
     print("use --trace-id <id> for one full span tree")
 
 
@@ -720,26 +672,33 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     sanity check, also used by the CLI tests); without it the server
     runs until interrupted and drains in-flight requests on Ctrl-C.
     """
-    import time as _time
+    from .serve import start_in_thread
 
-    from .experiments import tile_speed_functions
-    from .serve import ServeClient, start_in_thread
-
-    net = table2_network()
-    models = build_network_models(net, args.kernel)
-    p = args.p if args.p is not None else len(models)
-    sfs = tile_speed_functions(models, p) if p != len(models) else models
     handle = start_in_thread(_serve_config(args))
     try:
+        _serve_testbed(args, handle, "serving")
+    finally:
+        handle.stop()
+
+
+def _serve_testbed(args: argparse.Namespace, handle, banner: str) -> None:
+    """Register the testbed fleet behind ``handle``, then answer one
+    self-check plan (``--once``) or serve until Ctrl-C."""
+    import time as _time
+
+    from .serve import ServeClient
+
+    sfs, name = _testbed(args)
+    http = "disabled" if handle.http_port is None else handle.http_port
+    print(f"{banner} on {handle.host}:{handle.port} (http {http})")
+    try:
         with ServeClient(handle.host, handle.port) as client:
-            info = client.register_fleet(
-                sfs, name=f"table2-{args.kernel}-p{p}", algorithm=args.algorithm
-            )
-            http = "disabled" if handle.http_port is None else handle.http_port
-            print(f"serving on {handle.host}:{handle.port} (http {http})")
+            info = client.register_fleet(sfs, name=name, algorithm=args.algorithm)
+            where = (" ".join(info["registered"]) if "registered" in info
+                     else f"shard {info['shard']}")
             print(
                 f"fleet {info['name']} registered: fingerprint "
-                f"{info['fingerprint']} (p={info['p']}, shard {info['shard']})"
+                f"{info['fingerprint']} (p={info['p']}) on {where}"
             )
             if args.once:
                 n = max(1, int(info["capacity"]) // 2)
@@ -755,8 +714,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
                 _time.sleep(1.0)
     except KeyboardInterrupt:  # pragma: no cover - interactive loop
         print("draining")
-    finally:
-        handle.stop()
 
 
 def _parse_hostport(value: str, flag: str) -> tuple[str, int]:
@@ -846,31 +803,13 @@ def _print_cluster_status(doc: dict) -> None:
             title=f"Cluster members (replication {doc.get('replication')})",
         )
     )
-    fleets = doc.get("fleets") or {}
-    if fleets:
+    if doc.get("fleets"):
         print()
-        print(
-            ascii_table(
-                ["fleet", "name", "replicas"],
-                [
-                    (fp[:16], info.get("name", ""), " ".join(info.get("nodes", [])))
-                    for fp, info in sorted(fleets.items())
-                ],
-                title="Fleet placement",
-            )
-        )
+        print(_placement_table(doc["fleets"]))
 
 
 def _cluster_up(args: argparse.Namespace) -> None:
-    import time as _time
-
     from .cluster import RouterConfig, start_process_node, start_router_in_thread
-    from .experiments import tile_speed_functions
-    from .serve import ServeClient
-
-    models = build_network_models(table2_network(), args.kernel)
-    p = args.p if args.p is not None else len(models)
-    sfs = tile_speed_functions(models, p) if p != len(models) else models
 
     members = [start_process_node(f"n{i}") for i in range(args.nodes)]
     router = start_router_in_thread(
@@ -883,33 +822,9 @@ def _cluster_up(args: argparse.Namespace) -> None:
         [m.info for m in members],
     )
     try:
-        http = "disabled" if router.http_port is None else router.http_port
-        print(
-            f"cluster router on {router.host}:{router.port} (http {http}) over "
-            f"{args.nodes} node(s): " + ", ".join(m.node_id for m in members)
-        )
-        with ServeClient(router.host, router.port) as client:
-            info = client.register_fleet(
-                sfs, name=f"table2-{args.kernel}-p{p}", algorithm=args.algorithm
-            )
-            print(
-                f"fleet {info['name']} registered: fingerprint "
-                f"{info['fingerprint']} on {' '.join(info['registered'])}"
-            )
-            if args.once:
-                n = max(1, int(info["capacity"]) // 2)
-                result = client.plan(info["fingerprint"], n, allocation=False)
-                print(
-                    f"self-check plan n={n}: makespan {result['makespan']:.6g}s "
-                    f"in {result['iterations']} iterations"
-                )
-                print("draining")
-                return
-            print("press Ctrl-C to drain and stop")
-            while True:  # pragma: no cover - interactive loop
-                _time.sleep(1.0)
-    except KeyboardInterrupt:  # pragma: no cover - interactive loop
-        print("draining")
+        ids = ", ".join(m.node_id for m in members)
+        banner = f"cluster router over {len(members)} node(s) ({ids})"
+        _serve_testbed(args, router, banner)
     finally:
         router.stop()
         for m in members:

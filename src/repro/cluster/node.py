@@ -1,7 +1,7 @@
 """Member-node lifecycles: planner servers as processes or threads.
 
-A cluster node is just an ordinary :class:`~repro.serve.server.PlanServer`
-booted with a ``node_id``; this module owns the two ways to run one:
+A cluster node is just an ordinary :class:`~repro.serve.server.PlanServer`,
+named by its ``host:port``; this module owns the two ways to run one:
 
 * :class:`ProcessNode` — a real child process (fork-preferred), the
   production-shaped topology.  It is independently killable with
@@ -39,13 +39,12 @@ __all__ = [
 ]
 
 
-def _node_config(node_id: str, **overrides: Any) -> ServeConfig:
-    """A node's ServeConfig: ephemeral ports, HTTP on, id stamped."""
+def _node_config(**overrides: Any) -> ServeConfig:
+    """A node's ServeConfig: ephemeral ports, HTTP on."""
     defaults: dict[str, Any] = {
         "host": "127.0.0.1",
         "port": 0,
         "http_port": 0,
-        "node_id": node_id,
         "shards": 1,
         "worker_mode": "thread",
     }
@@ -183,7 +182,7 @@ def start_process_node(
     """
     ctx = _mp_context()
     parent_conn, child_conn = ctx.Pipe()
-    config = _node_config(name or "node", **overrides)
+    config = _node_config(**overrides)
     process = ctx.Process(
         target=_child_main,
         args=(child_conn, config),
@@ -215,9 +214,8 @@ def start_process_node(
 def start_thread_node(
     name: str = "", *, timeout: float = 60.0, **overrides: Any
 ) -> ThreadNode:
-    """Boot a member node on a daemon thread in this process."""
-    config = _node_config(name or "node", **overrides)
-    handle = start_in_thread(config, timeout=timeout)
+    """Boot a member node on a daemon thread, named by its ``host:port``."""
+    handle = start_in_thread(_node_config(**overrides), timeout=timeout)
     return ThreadNode(f"{handle.host}:{handle.port}", handle)
 
 

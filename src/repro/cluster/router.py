@@ -138,6 +138,7 @@ class RouterService(FrontEnd):
     """
 
     prefix = "cluster"
+    role = "router"
     traced_ops = frozenset({"plan", "plan_many", "observe"})
     #: Admin operations the router answers itself (never forwarded; plain
     #: nodes reject them with ``unknown_op``, which is exactly right).
@@ -157,7 +158,6 @@ class RouterService(FrontEnd):
         self._down: set[str] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._probe_task: asyncio.Task | None = None
-        self._started_at = time.time()
 
         registry = obs.get_registry()
         self._route_primary = registry.counter(
@@ -190,7 +190,6 @@ class RouterService(FrontEnd):
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._started_at = time.time()
         for info in self._seed_nodes:
             await self._admit(info)
         if self._config.probe_interval > 0:
@@ -203,11 +202,8 @@ class RouterService(FrontEnd):
             },
         )
 
-    async def drain(self) -> None:
-        """Refuse new work, let forwarded requests finish, close links."""
-        if self._draining:
-            return
-        self._draining = True
+    async def _drain(self) -> None:
+        """Let forwarded requests finish, then close links (FrontEnd hook)."""
         if self._probe_task is not None:
             self._probe_task.cancel()
             try:
@@ -538,12 +534,10 @@ class RouterService(FrontEnd):
             "registered": registered,
         }
 
-    # -- health / stats --------------------------------------------------
-    def health(self) -> dict:
-        """Router liveness plus per-node breaker states (no round-trips)."""
+    # -- health / stats sections ----------------------------------------
+    def _health_section(self) -> dict:
+        """Per-node breaker states, fleets, replication (FrontEnd hook)."""
         return {
-            "status": "draining" if self._draining else "ok",
-            "role": "router",
             "nodes": {
                 node_id: {
                     "breaker": self._breakers[node_id].state
@@ -555,35 +549,29 @@ class RouterService(FrontEnd):
             },
             "fleets": len(self._membership.fleets),
             "replication": self._config.replication,
-            "uptime_seconds": max(0.0, time.time() - self._started_at),
         }
 
-    async def stats(self) -> dict:
-        """Aggregate: router counters plus every reachable node's stats."""
-        per_node: dict[str, Any] = {}
-
-        async def fetch(node_id: str) -> None:
+    async def _stats_section(self) -> dict:
+        """Routing counters plus every member's stats (FrontEnd hook)."""
+        async def fetch(node_id: str) -> dict:
             link = self._links.get(node_id)
             if link is None:
-                per_node[node_id] = {"ok": False, "error": "no link"}
-                return
+                return {"ok": False, "error": "no link"}
             try:
                 resp = await link.request(
                     "stats", {}, timeout=min(self._config.attempt_timeout, 10.0)
                 )
             except (NodeBusy, NodeUnavailable) as exc:
-                per_node[node_id] = {"ok": False, "error": str(exc)}
-                return
+                return {"ok": False, "error": str(exc)}
             if resp.get("ok"):
-                per_node[node_id] = {"ok": True, **resp["result"]}
-            else:
-                per_node[node_id] = {"ok": False, "error": resp.get("error")}
+                return {"ok": True, **resp["result"]}
+            return {"ok": False, "error": resp.get("error")}
 
-        await asyncio.gather(*(fetch(nid) for nid in self._membership.nodes))
+        nodes = self._membership.nodes
+        docs = await asyncio.gather(*(fetch(node_id) for node_id in nodes))
         return {
             "cluster": self._membership.status(),
             "router": {
-                "requests": int(self._requests.value),
                 "routed_primary": int(self._route_primary.value),
                 "routed_fallback": int(self._route_fallback.value),
                 "unavailable": int(self._route_unavailable.value),
@@ -593,9 +581,8 @@ class RouterService(FrontEnd):
                     node_id: breaker.state
                     for node_id, breaker in self._breakers.items()
                 },
-                "trace": self._recorder.stats(),
             },
-            "nodes": per_node,
+            "nodes": dict(zip(nodes, docs)),
         }
 
     # -- protocol dispatch -----------------------------------------------

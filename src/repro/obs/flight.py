@@ -17,9 +17,10 @@ middle ground with three bounded stores:
 A trace may sit in several stores at once; memory stays bounded because
 every store has a fixed cap.  Everything is queryable by trace id
 (``GET /debug/traces?id=...``), listable as summaries, and dumpable as
-NDJSON for offline replay.  The ``serve.trace.*`` counter group
-(recorded / retained / evicted / sampled) lands in the process metrics
-registry, so ``/metrics`` shows the recorder working.
+NDJSON for reading after a failed run (CI keeps the smokes' dumps).
+The ``serve.trace.*`` counter group (recorded / retained / evicted /
+sampled) lands in the process metrics registry, so ``/metrics`` shows
+the recorder working.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import itertools
 import json
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import IO, Iterator
 
 from .registry import get_registry
 from .spans import Span
@@ -54,7 +55,6 @@ class RequestTrace:
     started: float = 0.0
     seconds: float = 0.0
     root: Span | None = None
-    attrs: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -70,7 +70,6 @@ class RequestTrace:
             "n": self.n,
             "started": self.started,
             "seconds": self.seconds,
-            **({"attrs": dict(self.attrs)} if self.attrs else {}),
         }
 
     def to_dict(self) -> dict:
@@ -78,21 +77,6 @@ class RequestTrace:
         if self.root is not None:
             out["spans"] = self.root.to_dict()
         return out
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "RequestTrace":
-        """Rebuild a trace from its :meth:`to_dict` form (NDJSON replay)."""
-        return cls(
-            trace_id=str(raw.get("trace_id", "")),
-            op=str(raw.get("op", "")),
-            status=str(raw.get("status", "ok")),
-            fleet=str(raw.get("fleet", "")),
-            n=None if raw.get("n") is None else int(raw["n"]),
-            started=float(raw.get("started", 0.0)),
-            seconds=float(raw.get("seconds", 0.0)),
-            root=Span.from_dict(raw["spans"]) if raw.get("spans") else None,
-            attrs=dict(raw.get("attrs") or {}),
-        )
 
 
 class FlightRecorder:
@@ -231,8 +215,8 @@ class FlightRecorder:
     def to_ndjson(self, fh: IO[str]) -> int:
         """Dump every retained trace as one JSON object per line.
 
-        Returns the number of traces written.  The lines round-trip
-        through :meth:`RequestTrace.from_dict` for offline replay.
+        Returns the number of traces written; each line is one trace's
+        :meth:`RequestTrace.to_dict` form, span tree included.
         """
         count = 0
         for trace in self.traces():
@@ -244,16 +228,6 @@ class FlightRecorder:
         """Write the NDJSON dump to ``path``; returns the trace count."""
         with open(path, "w", encoding="utf-8") as fh:
             return self.to_ndjson(fh)
-
-    @staticmethod
-    def load_ndjson(lines: Iterable[str]) -> list[RequestTrace]:
-        """Parse an NDJSON dump back into traces (offline replay)."""
-        out = []
-        for line in lines:
-            line = line.strip()
-            if line:
-                out.append(RequestTrace.from_dict(json.loads(line)))
-        return out
 
     def clear(self) -> None:
         with self._lock:

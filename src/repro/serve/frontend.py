@@ -11,11 +11,14 @@ with the flight recorder and counts the response — and never raises.
 A subclass (:class:`~repro.serve.service.PlanningService`,
 :class:`~repro.cluster.router.RouterService`) sets ``prefix`` (metric
 families ``{prefix}.requests`` / ``.request.seconds{op}`` /
-``.responses{status}`` and root spans ``{prefix}.{op}``) and
+``.responses{status}`` and root spans ``{prefix}.{op}``), ``role`` and
 ``traced_ops``, implements :meth:`FrontEnd._serve` (and, for ops
 answered before parsing, ``admin_ops`` + :meth:`FrontEnd._admin`), and
-provides the ``start`` / ``drain`` / ``health`` / ``stats`` that
-:class:`~repro.serve.server.PlanServer` calls.
+provides ``start``.  The admin plane :class:`~repro.serve.server.PlanServer`
+calls is written once here: :meth:`FrontEnd.health` and
+:meth:`FrontEnd.stats` answer one skeleton (status, role, uptime,
+counters, recorder stats, process CPU time) and append the subclass's
+section; :meth:`FrontEnd.drain` runs the subclass's drain body once.
 """
 
 from __future__ import annotations
@@ -82,6 +85,8 @@ class FrontEnd:
     """The shared request pipeline (see module notes)."""
 
     prefix = ""
+    #: ``"server"`` or ``"router"``: the admin documents' ``role`` key.
+    role = ""
     traced_ops: frozenset[str] = frozenset({"plan", "plan_many"})
     #: Answered by :meth:`_admin` from the raw frame: timed, never traced.
     admin_ops: frozenset[str] = frozenset()
@@ -89,6 +94,7 @@ class FrontEnd:
     def __init__(self, config: FrontEndConfig):
         self._config = config
         self._draining = False
+        self._started_at = time.time()
         self._tracing = bool(config.tracing)
         # The recorder exists even with tracing off, so the /debug/traces
         # route and the stats shape stay stable (the recorder then only
@@ -133,7 +139,49 @@ class FrontEnd:
         """The flight recorder holding recently completed request traces."""
         return self._recorder
 
+    # -- the admin plane --------------------------------------------------
+    def health(self) -> dict:
+        """Cheap liveness: the skeleton, then the backend's section."""
+        return {
+            "status": "draining" if self._draining else "ok",
+            "role": self.role,
+            "uptime_seconds": max(0.0, time.time() - self._started_at),
+            **self._health_section(),
+        }
+
+    async def stats(self) -> dict:
+        """The skeleton's counters, then the backend's section."""
+        return {
+            "role": self.role,
+            "uptime_seconds": max(0.0, time.time() - self._started_at),
+            "requests": int(self._requests.value),
+            "responses_ok": int(self._responses[True].value),
+            "responses_error": int(self._responses[False].value),
+            "trace": self._recorder.stats(),
+            "process_cpu_s": time.process_time(),
+            **await self._stats_section(),
+        }
+
+    async def drain(self) -> None:
+        """Refuse new work and run the backend's drain body, once."""
+        if self._draining:
+            return
+        self._draining = True
+        await self._drain()
+
     # -- subclass hooks -------------------------------------------------
+    def _health_section(self) -> dict:
+        """The backend's ``health`` keys (no round trips)."""
+        raise NotImplementedError
+
+    async def _stats_section(self) -> dict:
+        """The backend's ``stats`` keys."""
+        raise NotImplementedError
+
+    async def _drain(self) -> None:
+        """Let admitted work finish, then release the backend."""
+        raise NotImplementedError
+
     async def _serve(
         self, request: Any, ctx: TraceContext | None, root: Span | None
     ) -> dict:

@@ -144,11 +144,6 @@ class ServeConfig(FrontEndConfig):
     default_timeout_ms:
         Deadline applied to requests that do not carry their own
         ``timeout_ms`` (``None`` = no deadline).
-    node_id:
-        Optional member name when this server runs as one node of a
-        :mod:`repro.cluster` deployment; surfaced in ``health`` and
-        ``stats`` so the router and the aggregating CLI can label
-        per-node columns.  Empty for a standalone server.
     online_refit:
         When set, ``observe`` requests feed an
         :class:`repro.model.OnlineBandRefitter` per fleet: observed
@@ -179,7 +174,6 @@ class ServeConfig(FrontEndConfig):
     max_batch: int = 64
     queue_depth: int = 128
     default_timeout_ms: float | None = None
-    node_id: str = ""
     online_refit: OnlineRefitConfig | None = None
     tenancy: TenancyConfig | None = None
     idempotency_window: int = 1024
@@ -368,6 +362,7 @@ class PlanningService(FrontEnd):
     """
 
     prefix = "serve"
+    role = "server"
 
     def __init__(self, config: ServeConfig | None = None):
         super().__init__(config or ServeConfig())
@@ -381,7 +376,6 @@ class PlanningService(FrontEnd):
         self._busy: dict[tuple[str, str], int] = {}
         self._inflight: set[asyncio.Future] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._started_at = time.time()
 
         registry = obs.get_registry()
         self._shed = registry.counter(
@@ -416,7 +410,6 @@ class PlanningService(FrontEnd):
         if self._pool is not None:
             return
         self._loop = asyncio.get_running_loop()
-        self._started_at = time.time()
         cfg = self._config
         self._pool = ShardPool(
             cfg.shards,
@@ -430,17 +423,15 @@ class PlanningService(FrontEnd):
                    "queue_depth": cfg.queue_depth},
         )
 
-    async def drain(self) -> None:
-        """Graceful shutdown: refuse new work, finish in-flight batches.
+    async def _drain(self) -> None:
+        """Finish in-flight batches, then close the pool (FrontEnd hook).
 
         Every request admitted before the drain started gets a real
         response; the shard pool is then closed with ``drain=True`` so
         queued jobs complete before the workers exit.
         """
-        if self._pool is None or self._draining:
-            self._draining = True
+        if self._pool is None:
             return
-        self._draining = True
         for key in list(self._waiting):
             self._flush(key)
         while self._inflight:
@@ -878,22 +869,19 @@ class PlanningService(FrontEnd):
         finally:
             state.busy = False
 
-    # -- health / stats -------------------------------------------------
-    def health(self) -> dict:
-        """Cheap liveness summary (no worker round-trip)."""
+    # -- health / stats sections ---------------------------------------
+    def _health_section(self) -> dict:
+        """Shard count, mode, fleets and queue depths (FrontEnd hook)."""
         pool = self._pool
         return {
-            "status": "draining" if self._draining else "ok",
-            "node_id": self._config.node_id,
             "shards": 0 if pool is None else pool.shards,
             "worker_mode": self._config.worker_mode,
             "fleets": len(self._fleets),
             "queue_depths": [] if pool is None else pool.queue_depths(),
-            "uptime_seconds": max(0.0, time.time() - self._started_at),
         }
 
-    async def stats(self) -> dict:
-        """Front-end counters plus per-shard planner/cache counters."""
+    async def _stats_section(self) -> dict:
+        """Shard, fleet, refit and tenancy counters (FrontEnd hook)."""
         shards = []
         if self._pool is not None and not self._pool.closed:
             payloads = await asyncio.gather(
@@ -901,10 +889,6 @@ class PlanningService(FrontEnd):
             )
             shards = [p for p in payloads if p.get("ok")]
         return {
-            "node_id": self._config.node_id,
-            "requests": int(self._requests.value),
-            "responses_ok": int(self._responses[True].value),
-            "responses_error": int(self._responses[False].value),
             "shed": int(self._shed.value),
             "batches": int(self._batches_flushed.value),
             "fleets": {
@@ -912,7 +896,6 @@ class PlanningService(FrontEnd):
             },
             "shards": shards,
             "queue_depths": [] if self._pool is None else self._pool.queue_depths(),
-            "trace": self._recorder.stats(),
             "telemetry": {
                 "cells": len(self._sink),
                 "fingerprints": self._sink.fingerprints(),

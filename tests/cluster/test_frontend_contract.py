@@ -214,3 +214,40 @@ def test_non_finite_sizes_are_invalid_requests(front_end, n):
                           timeout=10.0)
     assert plan["error"]["code"] == "invalid_request", plan
     assert many["error"]["code"] == "invalid_request", many
+
+
+#: The keys every front end's admin documents open with.
+HEALTH_SKELETON = {"status", "role", "uptime_seconds"}
+STATS_SKELETON = {"role", "uptime_seconds", "requests", "responses_ok",
+                  "responses_error", "trace", "process_cpu_s"}
+
+
+def _admin(front_end, op: str) -> dict:
+    resp = front_end.send({"v": 1, "id": 0, "op": op})
+    assert resp["ok"], resp
+    return resp["result"]
+
+
+def test_health_and_stats_carry_the_skeleton(front_end):
+    role = {"serve": "server", "cluster": "router"}[front_end.prefix]
+    health, stats = _admin(front_end, "health"), _admin(front_end, "stats")
+    assert HEALTH_SKELETON <= health.keys(), health
+    assert STATS_SKELETON <= stats.keys(), stats
+    assert (health["status"], health["role"], stats["role"]) == ("ok", role, role)
+    assert stats["requests"] >= stats["responses_ok"] >= 1
+    assert {"recorded", "capacity"} <= stats["trace"].keys()
+
+
+def test_process_cpu_grows_across_a_burst_of_plans(front_end):
+    before = _admin(front_end, "stats")["process_cpu_s"]
+    for i in range(20):
+        assert front_end.plan(1000 + 17 * i, req_id=i)["ok"]
+    assert _admin(front_end, "stats")["process_cpu_s"] > before
+
+
+def test_a_repeated_drain_leaves_health_draining(front_end):
+    service = front_end.handle.service
+    front_end.handle.call(service.drain())
+    front_end.handle.call(service.drain())
+    assert _admin(front_end, "health")["status"] == "draining"
+    assert service.health()["status"] == "draining"

@@ -220,7 +220,7 @@ class TestResharding:
             loader.start()
             # Fire the leave once the load is demonstrably in flight.
             poll_until(
-                lambda: client.stats()["router"]["requests"] > requests // 8,
+                lambda: client.stats()["requests"] > requests // 8,
                 message="load generator never got going",
             )
             left = client.call("cluster_leave", node=primary)

@@ -511,7 +511,8 @@ class TestObjectSetEvaluator:
     def test_concurrent_packed_and_object_solves_are_independent(self, seed, n):
         rng = np.random.default_rng(seed)
         sfs = _random_exact_fleet(rng)
-        n = min(n, int(sum(min(sf.max_size, 4e6) for sf in sfs)))
+        # An integer plan holds at most floor(max_i) on machine i.
+        n = min(n, int(sum(math.floor(min(sf.max_size, 4e6)) for sf in sfs)))
         pack = pack_speed_functions(sfs)
         evaluators = {"packed": pack, "objects": ObjectSet(sfs)}
         serial = {

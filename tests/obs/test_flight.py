@@ -1,8 +1,9 @@
-"""FlightRecorder: bounded retention policies, queries, NDJSON replay."""
+"""FlightRecorder: bounded retention policies, queries, NDJSON dumps."""
 
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -23,18 +24,6 @@ class TestRequestTrace:
         t.root = Span(name="serve.plan", trace_id=t.trace_id)
         assert "spans" not in t.summary()
         assert t.summary()["trace_id"] == t.trace_id
-
-    def test_round_trip_with_span_tree(self):
-        root = Span(name="serve.plan", trace_id="ab", span_id="cd")
-        root.children.append(Span(name="serve.shard.batch", parent_id="cd"))
-        t = _trace(2, status="overloaded")
-        t.root = root
-        back = RequestTrace.from_dict(t.to_dict())
-        assert back.status == "overloaded"
-        assert not back.ok
-        assert back.root is not None
-        assert back.root.children[0].name == "serve.shard.batch"
-        assert back.root.children[0].parent_id == "cd"
 
 
 class TestRetention:
@@ -119,7 +108,7 @@ class TestQueries:
 
 
 class TestNdjson:
-    def test_dump_and_replay(self, fresh_obs, tmp_path):
+    def test_dump_writes_one_trace_per_line(self, fresh_obs, tmp_path):
         rec = FlightRecorder(capacity=8, slow_k=0)
         traced = _trace(1)
         traced.root = Span(name="serve.plan", trace_id=traced.trace_id)
@@ -131,10 +120,10 @@ class TestNdjson:
         lines = path.read_text().splitlines()
         assert len(lines) == 2
 
-        back = FlightRecorder.load_ndjson(lines)
-        by_id = {t.trace_id: t for t in back}
-        assert by_id[traced.trace_id].root.name == "serve.plan"
-        assert by_id[_trace(2).trace_id].status == "overloaded"
+        by_id = {doc["trace_id"]: doc for doc in map(json.loads, lines)}
+        assert set(by_id) == {traced.trace_id, _trace(2).trace_id}
+        assert by_id[traced.trace_id]["spans"]["name"] == "serve.plan"
+        assert by_id[_trace(2).trace_id]["status"] == "overloaded"
 
     def test_to_ndjson_counts(self, fresh_obs):
         rec = FlightRecorder()

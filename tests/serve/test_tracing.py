@@ -397,6 +397,7 @@ class TestHttpPlane:
         base, _ = live
         with pytest.raises(urllib.error.HTTPError) as err:
             self._get(f"{base}/debug/traces?id=feedface")
+        err.value.close()  # the error owns the response socket
         assert err.value.code == 404
 
     def test_metrics_negotiates_openmetrics_with_exemplars(self, live):

@@ -232,6 +232,77 @@ class TestServeFacingStatsAndTrace:
         assert main(["stats", "--serve", "127.0.0.1:1"]) == 1
         assert "repro stats:" in capsys.readouterr().err
 
+    def test_unknown_trace_id_fails_cleanly(self, live_server, capsys):
+        addr, _ = live_server
+        assert main(["trace", "--serve", addr, "--trace-id", "feedface"]) == 1
+        assert "no retained trace" in capsys.readouterr().err
+
+
+def _name_column(lines: list[str], name: str) -> tuple[int, int]:
+    """``(line index, column)`` of the first rendered span called ``name``."""
+    for i, line in enumerate(lines):
+        if f"{name}  " in line:
+            return i, line.index(name)
+    raise AssertionError(f"no {name} span in:\n" + "\n".join(lines))
+
+
+class TestRouterFacingStatsAndTrace:
+    """`repro stats --serve` / `repro trace --serve` against a cluster router."""
+
+    @pytest.fixture
+    def live_router(self):
+        from repro.cluster import (
+            RouterConfig, start_router_in_thread, start_thread_node,
+        )
+        from repro.experiments import build_network_models, tile_speed_functions
+        from repro.machines import table2_network
+        from repro.serve import ServeClient
+
+        node = start_thread_node("cli")
+        try:
+            config = RouterConfig(http_port=0, probe_interval=0)
+            with start_router_in_thread(config, [node.info]) as router:
+                sfs = tile_speed_functions(
+                    build_network_models(table2_network(), "matmul"), 4
+                )
+                with ServeClient(router.host, router.port) as client:
+                    info = client.register_fleet(sfs, name="cli-router")
+                    resp = client.call(
+                        "plan", fleet=info["fingerprint"], n=250_000, allocation=False
+                    )
+                assert resp["ok"], resp
+                addr = f"{router.host}:{router.http_port}"
+                yield addr, node.node_id, resp["trace_id"]
+        finally:
+            node.stop()
+
+    def test_stats_serve_renders_router_and_member_rows(self, live_router, capsys):
+        addr, node_id, _ = live_router
+        assert main(["stats", "--serve", addr]) == 0
+        out = capsys.readouterr().out
+        assert "cluster.requests" in out
+        member = [line for line in out.splitlines()
+                  if node_id in line and "closed" in line]
+        assert member, out
+
+    def test_trace_serve_lists_router_and_node_traces(self, live_router, capsys):
+        addr, node_id, trace_id = live_router
+        assert main(["trace", "--serve", addr]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if trace_id in line]
+        assert any("router" in line for line in rows), rows
+        assert any(node_id in line for line in rows), rows
+
+    def test_trace_id_grafts_the_node_tree_under_the_attempt(self, live_router, capsys):
+        addr, _, trace_id = live_router
+        assert main(["trace", "--serve", addr, "--trace-id", trace_id]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        attempt, attempt_col = _name_column(lines, "cluster.attempt")
+        plan, plan_col = _name_column(lines, "serve.plan")
+        batch, batch_col = _name_column(lines, "serve.shard.batch")
+        assert (attempt, plan) == (plan - 1, batch - 1)
+        assert attempt_col < plan_col < batch_col
+
 
 class TestVerifyCommand:
     def test_small_sweep_is_clean(self, capsys):
